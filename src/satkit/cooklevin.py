@@ -18,8 +18,14 @@ The per-variable meaning is "cell (row, col) holds symbol s". Constraints:
   exclusions),
 * row 1 is pinned by unit clauses,
 * some cell holds the accept state (one wide clause),
-* every 2x3 window of two consecutive rows is legal: for each *illegal*
-  window content w and each window position, a 6-literal clause forbids w.
+* every 2x3 window of two consecutive rows is legal. By default each window
+  position gets one clause per *minimal blocked pattern*: an assignment of
+  symbols to 1-6 of the window's cells that no legal window matches, while
+  every pattern obtained by dropping one of its cells does occur in some
+  legal window. These are the prime implicants of "the window is illegal";
+  together with the at-least-one cell clauses they are equivalent to the
+  paper-literal constraint, which ``windows="full"`` still emits: one
+  6-literal clause per illegal window content per position.
 
 Legal windows are generated machine-locally: sliding a window over every
 transition's neighbourhood with one enumerated cell of hidden context on
@@ -31,7 +37,7 @@ column, so runs needing more than p-3 cells have no satisfying tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -179,33 +185,102 @@ def _tableau_symbols(m: MachineSpec) -> tuple:
     )
 
 
+def blocked_patterns(legal, domains) -> list[tuple[tuple[int, ...], tuple]]:
+    """Minimal blocked patterns of a set of legal 2x3 windows.
+
+    ``legal`` holds windows as 6-tuples, cells ordered top row then bottom
+    row, left to right; ``domains[c]`` lists the values cell c can take. A
+    pattern ``(cells, vals)`` fixes the listed cells (ascending indices) to
+    ``vals``. It is blocked when no legal window matches it and minimal
+    when dropping any one of its cells leaves a pattern that some legal
+    window matches. Every illegal window contains a minimal blocked
+    pattern, and no legal window contains one.
+
+    Candidates grow by size: each pattern matched on ``cells[:-1]`` is
+    extended by every value of the last cell, so the work follows the
+    projections of the legal set rather than the product of the domains.
+    """
+    proj = {(): {()}}
+    patterns = []
+    for size in range(1, 7):
+        for cells in combinations(range(6), size):
+            matched = proj[cells] = {tuple(w[c] for c in cells) for w in legal}
+            drops = [(i, cells[:i] + cells[i + 1 :]) for i in range(size - 1)]
+            for head in sorted(proj[cells[:-1]]):
+                for v in domains[cells[-1]]:
+                    cand = head + (v,)
+                    if cand not in matched and all(
+                        cand[:i] + cand[i + 1 :] in proj[sub] for i, sub in drops
+                    ):
+                        patterns.append((cells, cand))
+    return patterns
+
+
 def encode(
-    m: MachineSpec, input_symbols: str | list[str], p: int, max_clauses: int = 20_000_000
+    m: MachineSpec,
+    input_symbols: str | list[str],
+    p: int,
+    max_clauses: int = 20_000_000,
+    windows: str = "compact",
 ) -> tuple[CnfFormula, TableauSpec]:
     """CNF formula satisfiable iff ``m`` accepts the input within the tableau.
 
     Requires p >= len(input) + 3 (boundaries, the state cell, and the
-    input). Variable count is exactly p^2 * |symbol universe|. The move
-    constraints contribute roughly |universe|^6 clauses per window position,
-    so encodings beyond ``max_clauses`` are refused rather than attempted;
-    this is a desk-scale tool.
+    input). Variable count is exactly p^2 * |symbol universe|.
+
+    ``windows`` selects the move constraints emitted at each of the
+    (p-1)(p-2) window positions:
+
+    * ``"compact"`` (default): one clause per minimal blocked pattern (see
+      :func:`blocked_patterns`), at most 6 literals each. The formula is
+      logically equivalent to the full one over the same variables, so it
+      has the same models and the same lexicographically first witness.
+      ``max_clauses`` bounds the exact number of clauses emitted, checked
+      before any clause is built.
+    * ``"full"``: the paper-literal encoding, one 6-literal clause per
+      illegal window content, about |universe|^6 per position.
+      ``max_clauses`` bounds (p-1)(p-2) * |universe|^6.
+
+    Encodings over the budget are refused, never truncated.
     """
+    if windows not in ("compact", "full"):
+        raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")
     symbols = tuple(input_symbols)
     bad = [s for s in symbols if s not in m.input_alphabet]
     if bad:
         raise ValueError(f"input symbols {bad!r} not in the input alphabet")
     if p < len(symbols) + 3:
         raise ValueError(f"p={p} too small: need at least {len(symbols) + 3}")
-    universe = len(m.states) + len(m.tape_alphabet) + 1
-    move_clause_bound = (p - 1) * (p - 2) * universe**6
-    if move_clause_bound > max_clauses:
-        raise BudgetExceededError(
-            f"about {move_clause_bound:,} move clauses exceed the encoding "
-            f"budget of {max_clauses:,}; shrink the machine or p"
-        )
-
     spec = TableauSpec(p, _tableau_symbols(m), m, symbols)
     msz = spec.num_symbols
+    positions = (p - 1) * (p - 2)
+
+    # Window cells and the patterns over them are written as variable
+    # offsets from the window's top-left cell base: a window position turns
+    # offset o into the literal -(base + o).
+    cell_offset = [spec.cell_base(1 + c // 3, 1 + c % 3) + 1 for c in range(6)]
+    domains = [range(off, off + msz) for off in cell_offset]
+    legal = {
+        tuple(off + spec.sym_index(s) for off, s in zip(cell_offset, w.top + w.bottom))
+        for w in legal_windows(m)
+    }
+    if windows == "full":
+        move_clause_bound = positions * msz**6
+        if move_clause_bound > max_clauses:
+            raise BudgetExceededError(
+                f"about {move_clause_bound:,} move clauses exceed the encoding "
+                f"budget of {max_clauses:,}; shrink the machine or p"
+            )
+        patterns = [w for w in product(*domains) if w not in legal]
+    else:
+        patterns = [vals for _, vals in blocked_patterns(legal, domains)]
+        total = p * p * (1 + msz * (msz - 1) // 2) + p + 1 + positions * len(patterns)
+        if total > max_clauses:
+            raise BudgetExceededError(
+                f"{total:,} clauses exceed the encoding budget of {max_clauses:,}; "
+                f"shrink the machine or p"
+            )
+
     clauses: list[tuple[int, ...]] = []
 
     # Interned literal objects keep the big move-clause tuples compact.
@@ -238,22 +313,10 @@ def encode(
         )
     )
 
-    legal = {
-        tuple(spec.sym_index(s) for s in w.top + w.bottom) for w in legal_windows(m)
-    }
-    illegal = [w for w in product(range(msz), repeat=6) if w not in legal]
     for row in range(1, p):
         for col in range(1, p - 1):
-            b1 = spec.cell_base(row, col) + 1
-            b2 = spec.cell_base(row, col + 1) + 1
-            b3 = spec.cell_base(row, col + 2) + 1
-            b4 = spec.cell_base(row + 1, col) + 1
-            b5 = spec.cell_base(row + 1, col + 1) + 1
-            b6 = spec.cell_base(row + 1, col + 2) + 1
-            clauses.extend(
-                (neg[b1 + s1], neg[b2 + s2], neg[b3 + s3], neg[b4 + s4], neg[b5 + s5], neg[b6 + s6])
-                for s1, s2, s3, s4, s5, s6 in illegal
-            )
+            shifted = neg[spec.cell_base(row, col) :].__getitem__
+            clauses.extend(tuple(map(shifted, offs)) for offs in patterns)
 
     return CnfFormula._trusted(spec.num_vars, tuple(clauses)), spec
 

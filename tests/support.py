@@ -111,8 +111,12 @@ def row_successors(m: MachineSpec, row: list[str]) -> list[list[str]]:
     state = inner[sp]
     if m.is_halting(state):
         return [list(row)]
-    head_sym = inner[sp + 1] if sp + 1 < len(inner) else "#"
-    if head_sym == "#" or head_sym not in m.tape_alphabet:
+    # Only the two border cells are boundaries; a "#" inside the row is a
+    # tape symbol (the equality checker's separator).
+    if sp + 1 == len(inner):
+        return []
+    head_sym = inner[sp + 1]
+    if head_sym not in m.tape_alphabet:
         return []
     out = []
     for target, written, direction in m.options(state, head_sym):

@@ -1,18 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satkit
 from satkit.cli import run_cli
 from satkit.formula import assignment_from_json, parse_dimacs
 from satkit.oracle import brute_force_sat
 from satkit.reductions import instance_from_json
 from satkit.tractable import solve_2sat
-from satkit.turing import format_machine
+from satkit.turing import build_equality_checker, format_machine
 from support import branching_acceptor, one_step_acceptor
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
 EXAMPLE_33 = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 FIG_3CNF = "p cnf 3 3\n1 2 3 0\n1 -2 3 0\n-1 2 -3 0\n"
+DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
 @pytest.fixture
@@ -187,6 +193,25 @@ def test_cooklevin_cli(tmp_path, capsys):
     assert mapping["p"] == 4
     assert len(mapping["vars"]) == f.num_vars
     assert brute_force_sat(f, max_vars=f.num_vars).satisfiable
+
+
+def test_cooklevin_cli_encodes_equality_checker(capsys):
+    m = build_equality_checker()
+    universe = len(m.states) + len(m.tape_alphabet) + 1
+    code = run_cli(["cooklevin", str(DEMO / "equality.tm"), "1#1", "--steps", "9"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"tableau 9x9: {81 * universe} vars, ")
+
+
+def test_python_m_satkit_cli_runs_main(cnf31):
+    src = str(Path(satkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "satkit.cli", "solve", cnf31],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "SAT\n")
 
 
 def test_cli_matches_library_verdicts(cnf31, cnf33, capsys):

@@ -1,19 +1,29 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.cooklevin import (
     BOUNDARY,
     WindowTemplate,
+    blocked_patterns,
     decode_tableau,
     encode,
     legal_windows,
     state_symbol as Q,
     tape_symbol as G,
 )
+from satkit.errors import BudgetExceededError
 from satkit.oracle import brute_force_sat
-from satkit.turing import BLANK, MachineSpec
-from support import one_step_acceptor, paper_walker_wrapped, row_successors
+from satkit.turing import BLANK, MachineSpec, build_equality_checker, run_dtm
+from support import (
+    machine_inputs,
+    one_step_acceptor,
+    paper_walker_wrapped,
+    row_successors,
+    tableau_battery,
+)
 
 
 def test_legal_windows_walker_examples():
@@ -59,7 +69,7 @@ def test_encode_variable_count_exact():
 def test_encode_clause_count_formula():
     m = one_step_acceptor()
     p = 4
-    f, spec = encode(m, "1", p)
+    f, spec = encode(m, "1", p, windows="full")
     msz = spec.num_symbols
     legal = len(legal_windows(m))
     expected = (
@@ -80,15 +90,164 @@ def test_encode_guards():
 
 
 def test_encode_refuses_oversized_machines():
-    from satkit.errors import BudgetExceededError
-    from satkit.turing import build_equality_checker
-
     with pytest.raises(BudgetExceededError, match="encoding"):
-        encode(build_equality_checker(), "1#1", 9)
+        encode(build_equality_checker(), "1#1", 9, windows="full")
     # the guard is adjustable for callers who know what they are doing
     m = one_step_acceptor()
     with pytest.raises(BudgetExceededError):
-        encode(m, "1", 4, max_clauses=1000)
+        encode(m, "1", 4, max_clauses=1000, windows="full")
+
+
+def test_encode_compact_clause_count_and_guard():
+    m = one_step_acceptor()
+    p = 4
+    f, spec = encode(m, "1", p)
+    msz = spec.num_symbols
+    legal = {w.top + w.bottom for w in legal_windows(m)}
+    patterns = blocked_patterns(legal, [spec.symbols] * 6)
+    emitted = (
+        p * p * (1 + math.comb(msz, 2))  # per-cell exactly-one
+        + p  # pinned initial row
+        + 1  # acceptance disjunction
+        + (p - 1) * (p - 2) * len(patterns)
+    )
+    assert len(f.clauses) == emitted
+    assert f.num_vars == p * p * msz
+    # the guard counts exactly the clauses that are emitted
+    assert encode(m, "1", p, max_clauses=emitted)[0] == f
+    with pytest.raises(BudgetExceededError, match="encoding"):
+        encode(m, "1", p, max_clauses=emitted - 1)
+    with pytest.raises(BudgetExceededError):
+        encode(m, "1", p, max_clauses=1000)
+    # a huge tableau is refused before any clause is built
+    with pytest.raises(BudgetExceededError):
+        encode(m, "1", 10**6)
+
+
+def test_encode_rejects_unknown_windows_mode():
+    with pytest.raises(ValueError, match="windows"):
+        encode(one_step_acceptor(), "1", 4, windows="fast")
+
+
+def _universe(m):
+    return (
+        [Q(s) for s in sorted(m.states)] + [G(s) for s in sorted(m.tape_alphabet)] + [BOUNDARY]
+    )
+
+
+@pytest.mark.parametrize(
+    "machine", [one_step_acceptor, paper_walker_wrapped, build_equality_checker]
+)
+def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
+    m = machine()
+    universe = _universe(m)
+    legal = {w.top + w.bottom for w in legal_windows(m)}
+    patterns = blocked_patterns(legal, [universe] * 6)
+    blocked = set(patterns)
+    assert len(blocked) == len(patterns)
+
+    def subsets(cells):
+        return [sub for k in range(len(cells) + 1) for sub in itertools.combinations(cells, k)]
+
+    occurring = {
+        cells: {tuple(w[c] for c in cells) for w in legal} for cells in subsets(range(6))
+    }
+
+    # no legal window matches any pattern
+    for w in legal:
+        for cells in subsets(range(6)):
+            assert (cells, tuple(w[c] for c in cells)) not in blocked
+
+    # every proper sub-pattern of a pattern occurs in some legal window
+    for cells, vals in patterns:
+        assert 1 <= len(cells) <= 6
+        assert vals not in occurring[cells]
+        for keep in subsets(range(len(cells)))[:-1]:
+            sub = tuple(cells[i] for i in keep)
+            assert tuple(vals[i] for i in keep) in occurring[sub]
+
+    # every illegal window contains a pattern: grow all windows cell by cell
+    # and cut a branch as soon as its newest cell completes a pattern; each
+    # window that survives all six cells must be legal
+    prefixes = [()]
+    for last in range(6):
+        earlier = subsets(range(last))
+        prefixes = [
+            prefix + (v,)
+            for prefix in prefixes
+            for v in universe
+            if not any(
+                (cells + (last,), tuple(prefix[c] for c in cells) + (v,)) in blocked
+                for cells in earlier
+            )
+        ]
+    assert set(prefixes) == legal
+
+
+def test_compact_matches_full_on_battery():
+    # every battery combo whose paper-literal encoding stays under ~1M clauses
+    checked = 0
+    for m in tableau_battery():
+        universe = len(m.states) + len(m.tape_alphabet) + 1
+        for w in machine_inputs(m, 2):
+            for p in (len(w) + 3, len(w) + 4):
+                if (p - 1) * (p - 2) * universe**6 > 1_000_000:
+                    continue
+                full, _ = encode(m, w, p, windows="full")
+                compact, _ = encode(m, w, p)
+                assert compact.num_vars == full.num_vars
+                assert len(compact.clauses) < len(full.clauses)
+                expected = brute_force_sat(full, max_vars=full.num_vars)
+                assert brute_force_sat(compact, max_vars=compact.num_vars) == expected, (m, w, p)
+                checked += 1
+    assert checked >= 20
+
+
+@st.composite
+def tiny_machines(draw):
+    names = ["s0", "s1", "s2"][: draw(st.integers(2, 3))]
+    q_accept, q_reject = draw(st.permutations(names))[:2]
+    inputs = draw(st.sampled_from([{"1"}, {"0", "1"}]))
+    tape = sorted(inputs | {BLANK})
+    option = st.tuples(st.sampled_from(names), st.sampled_from(tape), st.sampled_from("LR"))
+    delta = {}
+    for q in names:
+        if q in (q_accept, q_reject):
+            continue
+        for a in tape:
+            options = draw(st.lists(option, max_size=2))
+            if options:
+                delta[(q, a)] = options
+    q0 = draw(st.sampled_from(names))
+    return MachineSpec(set(names), inputs, set(tape), delta, q0, q_accept, q_reject)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tiny_machines(), st.data())
+def test_compact_matches_full_on_random_machines(m, data):
+    p = data.draw(st.integers(3, 4))
+    w = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=p - 3))
+    full, _ = encode(m, w, p, windows="full")
+    compact, _ = encode(m, w, p)
+    expected = brute_force_sat(full, max_vars=full.num_vars)
+    assert brute_force_sat(compact, max_vars=compact.num_vars) == expected
+
+
+@pytest.mark.parametrize("word", ["1#1", "1#0", "#", "0#0"])
+def test_equality_checker_encodes_and_matches_run_dtm(word):
+    m = build_equality_checker()
+    p = 9
+    f, spec = encode(m, word, p)
+    r = brute_force_sat(f, max_vars=f.num_vars)
+    accepts = run_dtm(m, word, p - 1).verdict == "accept"
+    assert r.satisfiable == accepts
+    if not accepts:
+        return
+    rows = decode_tableau(spec, r.witness)
+    assert rows[0] == ["#", m.q0, *word] + [BLANK] * (p - 3 - len(word)) + ["#"]
+    assert any(m.q_accept in row for row in rows)
+    for a, b in zip(rows, rows[1:]):
+        assert b in row_successors(m, a)
 
 
 def test_one_step_acceptor_sat_and_decode():
