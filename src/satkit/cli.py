@@ -66,21 +66,19 @@ def _emit_witness(path: str | None, witness) -> None:
 
 def _cmd_solve(args) -> int:
     method = args.method
-    if method is None:
-        if args.file.endswith(".dnf"):
-            method = "dnf"
-        else:
-            f = _parse_cnf_file(args.file)
+    if method is None and args.file.endswith(".dnf"):
+        method = "dnf"
+    if method == "dnf":
+        result = tractable.solve_dnf(_parse_dnf_file(args.file))
+    else:
+        f = _parse_cnf_file(args.file)
+        if method is None:
             if max_clause_width(f) <= 2:
                 method = "2sat"
             elif is_horn(f):
                 method = "horn"
             else:
                 method = "brute"
-    if method == "dnf":
-        result = tractable.solve_dnf(_parse_dnf_file(args.file))
-    else:
-        f = _parse_cnf_file(args.file)
         if method == "2sat":
             result = tractable.solve_2sat(f)
         elif method == "horn":
@@ -151,9 +149,16 @@ def _load_witness(kind: str, path: str):
             return list(data["cycle"])
         if kind == "3color":
             return {str(k): int(v) for k, v in data["coloring"].items()}
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} witness file") from exc
     raise ValueError(f"unknown witness kind {kind!r}")
+
+
+_INSTANCE_TYPES = {
+    "clique": reductions.CliqueInstance,
+    "hamcycle": reductions.HamCycleInstance,
+    "3color": reductions.ColoringInstance,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -163,6 +168,8 @@ def _cmd_verify(args) -> int:
         ok = evaluate(f, witness) is True
     else:
         inst = reductions.instance_from_json(_read(args.instance))
+        if not isinstance(inst, _INSTANCE_TYPES[args.kind]):
+            raise ValueError(f"{args.instance} does not hold a {args.kind} instance")
         witness = _load_witness(args.kind, args.witness)
         if args.kind == "clique":
             ok = verify_clique(inst.graph, witness, inst.k)
@@ -241,6 +248,17 @@ def _cmd_cooklevin(args) -> int:
     return YES
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for step and depth bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="satkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = tm_sub.add_parser("run", help="run a deterministic machine")
     p.add_argument("machine")
     p.add_argument("input")
-    p.add_argument("--limit", type=int, default=10_000)
+    p.add_argument("--limit", type=_non_negative, default=10_000)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_tm_run)
     p = tm_sub.add_parser("ntm", help="simulate a nondeterministic machine")
     p.add_argument("machine")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_non_negative, required=True)
     p.set_defaults(fn=_cmd_tm_ntm)
 
     p = sub.add_parser("cooklevin", help="encode bounded acceptance as CNF")
     p.add_argument("machine")
     p.add_argument("input")
-    p.add_argument("--steps", type=int, required=True, metavar="P")
+    p.add_argument("--steps", type=_non_negative, required=True, metavar="P")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--map", metavar="PATH")
     p.set_defaults(fn=_cmd_cooklevin)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -216,6 +217,11 @@ def blocked_patterns(legal, domains) -> list[tuple[tuple[int, ...], tuple]]:
     return patterns
 
 
+def _single_getter(offset: int):
+    # itemgetter with one index returns the item itself, not a 1-tuple.
+    return lambda lits: (lits[offset],)
+
+
 def encode(
     m: MachineSpec,
     input_symbols: str | list[str],
@@ -313,10 +319,15 @@ def encode(
         )
     )
 
+    # Each pattern's getter picks its clause out of the negated literals
+    # from the window's base on.
+    getters = [
+        itemgetter(*offs) if len(offs) > 1 else _single_getter(offs[0]) for offs in patterns
+    ]
     for row in range(1, p):
         for col in range(1, p - 1):
-            shifted = neg[spec.cell_base(row, col) :].__getitem__
-            clauses.extend(tuple(map(shifted, offs)) for offs in patterns)
+            shifted = neg[spec.cell_base(row, col) :]
+            clauses.extend([get(shifted) for get in getters])
 
     return CnfFormula._trusted(spec.num_vars, tuple(clauses)), spec
 

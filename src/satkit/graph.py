@@ -5,6 +5,12 @@ semantics on edges, :class:`Digraph` is directed; parallel edges collapse
 and self-loops are rejected. The brute-force finders (`find_clique`,
 `find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
 hard size guards and deterministic, first-in-canonical-order results.
+
+Strongly connected components come from one iterative Tarjan kernel over
+int vertices, :func:`tarjan_scc`. :func:`strongly_connected_components` is
+a label view over it, and the 2-SAT solver calls it directly on literal
+indices. Its visiting order (roots by index, successors in list order) is
+part of its contract, because 2-SAT witnesses depend on it.
 """
 
 from __future__ import annotations
@@ -74,6 +80,57 @@ class Digraph:
         return adj
 
 
+def tarjan_scc(succ: list[list[int]]) -> tuple[list[int], int]:
+    """Iterative Tarjan over int vertices ``0..len(succ)-1``.
+
+    Roots are tried in index order and each vertex's successors in list
+    order, so the result is a pure function of ``succ``. Returns
+    ``(comp, count)``: ``comp[v]`` is the position of v's component in
+    Tarjan's emission order, which is a reverse topological order of the
+    condensation (an edge u→v implies ``comp[u] >= comp[v]``).
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    # comp[v] == -1 while v is unfinished; an indexed, unfinished vertex is
+    # exactly one on Tarjan's stack.
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp, count
+
+
 def strongly_connected_components(
     g: Digraph,
 ) -> tuple[list[frozenset[str]], dict[str, int]]:
@@ -82,58 +139,20 @@ def strongly_connected_components(
     Returns ``(components, comp)`` where ``components`` is the partition in
     reverse topological order of the condensation, and ``comp[u] <= comp[v]``
     whenever a path u→v exists (equality exactly within one component).
+    A label view over :func:`tarjan_scc`: vertices are visited in
+    ``g.vertices`` order, successors in sorted label order.
     """
-    adj = g.successors()
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        # Iterative Tarjan: (vertex, iterator position into its successors).
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            succs = adj[v]
-            while pi < len(succs):
-                w = succs[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(scc))
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-
-    last = len(components) - 1
-    comp = {v: last - i for i, scc in enumerate(components) for v in scc}
-    return components, comp
+    at = {v: i for i, v in enumerate(g.vertices)}
+    succ: list[list[int]] = [[] for _ in g.vertices]
+    for u, v in sorted(g.edges):
+        succ[at[u]].append(at[v])
+    emitted, count = tarjan_scc(succ)
+    members: list[list[str]] = [[] for _ in range(count)]
+    for v, c in zip(g.vertices, emitted):
+        members[c].append(v)
+    last = count - 1
+    comp = {v: last - c for v, c in zip(g.vertices, emitted)}
+    return [frozenset(m) for m in members], comp
 
 
 def is_bipartite(g: Graph) -> Coloring | None:

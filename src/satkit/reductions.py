@@ -406,6 +406,45 @@ def instance_to_json(inst) -> str:
     return json.dumps(base, indent=1)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_instance_shape(data) -> None:
+    """Raise ValueError unless ``data`` has the fields ``instance_from_json`` reads."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"malformed instance file: {what}")
+
+    require(isinstance(data, dict), "expected a JSON object")
+    formula = data.get("formula")
+    require(isinstance(formula, dict), 'missing "formula" object')
+    require(_is_int(formula.get("num_vars")), '"formula.num_vars" must be an integer')
+    clauses = formula.get("clauses")
+    require(
+        isinstance(clauses, list)
+        and all(isinstance(c, list) and all(_is_int(lit) for lit in c) for c in clauses),
+        '"formula.clauses" must be a list of integer lists',
+    )
+    kind = data.get("kind")
+    require(kind in ("clique", "hamcycle", "3color"), f"unknown instance kind {kind!r}")
+    vertices = data.get("vertices")
+    require(
+        isinstance(vertices, list) and all(isinstance(v, str) for v in vertices),
+        '"vertices" must be a list of strings',
+    )
+    edges = data.get("edges")
+    require(
+        isinstance(edges, list)
+        and all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            for e in edges
+        ),
+        '"edges" must be a list of string pairs',
+    )
+
+
 def instance_from_json(text: str):
     """Rebuild an instance from its JSON dump.
 
@@ -414,18 +453,17 @@ def instance_from_json(text: str):
     tampered or mislabeled file is rejected rather than trusted.
     """
     data = json.loads(text)
+    _check_instance_shape(data)
     f = CnfFormula(
         data["formula"]["num_vars"], [tuple(c) for c in data["formula"]["clauses"]]
     )
-    kind = data.get("kind")
+    kind = data["kind"]
     if kind == "clique":
         inst = reduce_to_clique(f)
     elif kind == "hamcycle":
         inst = reduce_to_hamcycle(f, strict=bool(data.get("strict", False)))
-    elif kind == "3color":
-        inst = reduce_to_3color(f)
     else:
-        raise ValueError(f"unknown instance kind {kind!r}")
+        inst = reduce_to_3color(f)
     directed = isinstance(inst.graph, Digraph)
     stored = {tuple(e) if directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])

@@ -169,6 +169,67 @@ def test_tm_run(tmp_path, capsys):
     assert lines[-1] == "ACCEPT"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tm", "run", "one_step.tm", "1", "--limit", "-5"],
+        ["tm", "ntm", "one_step.tm", "1", "--depth", "-1"],
+        ["cooklevin", "one_step.tm", "1", "--steps", "-4"],
+    ],
+)
+def test_negative_bounds_are_usage_errors(argv, capsys):
+    argv = [str(DEMO / a) if a.endswith(".tm") else a for a in argv]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "non-negative" in captured.err
+
+
+def test_solve_auto_detect_parses_once(cnf31, monkeypatch, capsys):
+    import satkit.cli as cli
+
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_dimacs(text)
+
+    monkeypatch.setattr(cli, "parse_dimacs", counting_parse)
+    assert run_cli(["solve", cnf31]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "clique", "{}", "{}"],
+        ["verify", "hamcycle", "{}", "{}"],
+        ["verify", "3color", "{}", "{}"],
+        ["translate", "{}", "{}"],
+    ],
+)
+def test_empty_json_instance_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text("{}")
+    assert run_cli([str(path) if a == "{}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed instance file")
+
+
+def test_verify_rejects_instance_of_another_kind(tmp_path, capsys):
+    cnf = tmp_path / "fig.cnf"
+    cnf.write_text(FIG_3CNF)
+    col_path = tmp_path / "col.json"
+    assert run_cli(["reduce", "3color", str(cnf), "--json", str(col_path)]) == 0
+    witness = tmp_path / "clique.json"
+    witness.write_text(json.dumps({"vertices": []}))
+    capsys.readouterr()
+    assert run_cli(["verify", "clique", str(col_path), str(witness)]) == 2
+    assert "does not hold a clique instance" in capsys.readouterr().err
+
+
 def test_tm_ntm(tmp_path, capsys):
     machine = tmp_path / "branch.tm"
     machine.write_text(format_machine(branching_acceptor()))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -353,6 +354,32 @@ def test_instance_json_rejects_tampering():
     text = instance_to_json(inst).replace('"v:1:1:+:1"', '"v:9:9:+:9"')
     with pytest.raises(ValueError):
         instance_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (None, None),
+        ("formula", None),
+        ("formula", {"num_vars": "3", "clauses": []}),
+        ("formula", {"num_vars": 3, "clauses": [[1, "2"]]}),
+        ("formula", {"num_vars": 3, "clauses": [[1, True]]}),
+        ("kind", "matching"),
+        ("vertices", [1, 2]),
+        ("edges", [["v:1:1:+:1"]]),
+        ("edges", None),
+    ],
+)
+def test_instance_json_rejects_malformed_shapes(field, value):
+    data = json.loads(instance_to_json(reduce_to_clique(FIG_EXAMPLE)))
+    if field is None:
+        data = []
+    elif value is None:
+        del data[field]
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match="malformed instance file"):
+        instance_from_json(json.dumps(data))
 
 
 def test_dot_styling_round():

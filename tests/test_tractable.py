@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.formula import CnfFormula, DnfFormula, evaluate, evaluate_dnf, is_horn, parse_dimacs
-from satkit.oracle import brute_force_sat, equisatisfiable
+from satkit.graph import strongly_connected_components
+from satkit.oracle import SatResult, brute_force_sat, equisatisfiable
 from satkit.tractable import (
     build_implication_graph,
     solve_2sat,
@@ -13,6 +15,8 @@ from satkit.tractable import (
     unit_propagate,
 )
 from support import random_cnf
+
+MAX_VARS = 6
 
 EXAMPLE_31 = parse_dimacs("p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n")
 
@@ -95,6 +99,99 @@ def test_solve_2sat_exhaustive_small():
             assert mine.satisfiable == truth.satisfiable, clauses
             if mine.satisfiable:
                 assert evaluate(f, mine.witness) is True
+
+
+def reference_2sat(f):
+    """The labelled route: implication graph, label-level SCCs, comp rule."""
+    if any(not c for c in f.clauses):
+        return SatResult(False, None)
+    ig = build_implication_graph(f)
+    _, comp = strongly_connected_components(ig.digraph)
+    witness = {}
+    for v in range(1, f.num_vars + 1):
+        pos, neg = comp[ig.label(v)], comp[ig.label(-v)]
+        if pos == neg:
+            return SatResult(False, None)
+        witness[v] = pos > neg
+    return SatResult(True, witness)
+
+
+@st.composite
+def two_cnfs(draw):
+    n = draw(st.integers(1, MAX_VARS))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=2), max_size=12))
+    if draw(st.integers(0, 19)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    return CnfFormula(n, clauses)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(two_cnfs())
+def test_solve_2sat_matches_labelled_reference(f):
+    result = solve_2sat(f)
+    assert result == reference_2sat(f)
+    assert result.satisfiable == brute_force_sat(f).satisfiable
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, false_vars",
+    [
+        # Roots are tried 1, -1, 2, -2, ...: an unconstrained x comes out true.
+        (1, [], set()),
+        # Successors are tried in string-label order: "-3" < "-4" < "3" < "7".
+        (7, [(4, 7), (-3, -7), (-4, -3)], {3, 4}),
+        # ... and "11" < "9" within one sign.
+        (12, [(6, 9), (6, 11), (-11, -9)], {9}),
+    ],
+)
+def test_solve_2sat_witness_follows_labelled_dfs_order(num_vars, clauses, false_vars):
+    result = solve_2sat(CnfFormula(num_vars, clauses))
+    assert result.witness == {v: v not in false_vars for v in range(1, num_vars + 1)}
+
+
+@st.composite
+def horn_cnfs(draw):
+    """Horn clauses with repeated body literals, repeated heads, tautologies
+    (a head that also occurs negated), units and the odd empty clause, each
+    clause in a drawn literal order."""
+    n = draw(st.integers(1, MAX_VARS))
+    var = st.integers(1, n)
+    clauses = []
+    for _ in range(draw(st.integers(0, 10))):
+        lits = [-v for v in draw(st.lists(var, max_size=3))]
+        if draw(st.booleans()):
+            head = draw(var)
+            lits += [head] * draw(st.integers(1, 2))
+        if lits or draw(st.integers(0, 9)) == 0:
+            clauses.append(draw(st.permutations(lits)))
+    return CnfFormula(n, clauses)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(horn_cnfs())
+def test_solve_horn_is_the_minimal_model(f):
+    result = solve_horn(f)
+    assert result.satisfiable == brute_force_sat(f).satisfiable
+    if result.satisfiable:
+        forced = unit_propagate(f).forced
+        assert result.witness == {v: forced.get(v, False) for v in range(1, f.num_vars + 1)}
+        assert evaluate(f, result.witness) is True
+
+
+@pytest.mark.parametrize("sat", [True, False])
+def test_solve_horn_long_shuffled_chain(sat):
+    n = 16_384
+    xs = list(range(1, n + 1))
+    random.Random(31).shuffle(xs)
+    clauses = [(xs[0],)] + [(-a, b) for a, b in zip(xs, xs[1:])]
+    if not sat:
+        clauses.append((-xs[-1],))
+    random.Random(37).shuffle(clauses)
+    result = solve_horn(CnfFormula(n, clauses))
+    assert result.satisfiable == sat
+    if sat:
+        assert result.witness == {v: True for v in range(1, n + 1)}
 
 
 def test_unit_propagation_chain():
