@@ -36,7 +36,7 @@ column, so runs needing more than p-3 cells have no satisfying tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import itemgetter
 from typing import NamedTuple
@@ -140,6 +140,10 @@ class TableauSpec:
     symbols: tuple
     machine: MachineSpec
     input_symbols: tuple[str, ...]
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
 
     @property
     def num_symbols(self) -> int:
@@ -150,12 +154,15 @@ class TableauSpec:
         return self.p * self.p * self.num_symbols
 
     def sym_index(self, sym) -> int:
-        return self.symbols.index(sym)
+        try:
+            return self.index[sym]
+        except KeyError:
+            raise ValueError(f"{sym!r} is not in the symbol universe") from None
 
     def var(self, row: int, col: int, sym) -> int:
         if not (1 <= row <= self.p and 1 <= col <= self.p):
             raise ValueError(f"cell ({row}, {col}) outside the {self.p}x{self.p} tableau")
-        return self.cell_base(row, col) + self.symbols.index(sym) + 1
+        return self.cell_base(row, col) + self.sym_index(sym) + 1
 
     def cell_base(self, row: int, col: int) -> int:
         return ((row - 1) * self.p + (col - 1)) * self.num_symbols
@@ -197,23 +204,44 @@ def blocked_patterns(legal, domains) -> list[tuple[tuple[int, ...], tuple]]:
     window matches. Every illegal window contains a minimal blocked
     pattern, and no legal window contains one.
 
-    Candidates grow by size: each pattern matched on ``cells[:-1]`` is
-    extended by every value of the last cell, so the work follows the
-    projections of the legal set rather than the product of the domains.
+    Candidates of two or more cells come from a join of projections of the
+    legal set: a minimal pattern matches legal windows on ``cells[:-1]`` and
+    on ``cells[1:]``, so it is some ``head + (v,)`` with ``head`` in the
+    projection on ``cells[:-1]`` and ``v`` among the last-cell values that
+    follow ``head[1:]`` in the projection on ``cells[1:]``. Candidates that
+    occur are dropped, the inner one-cell drops are checked by set lookup,
+    and the survivors are listed by head, then by the last value's position
+    in its domain. One-cell patterns are the domain values that never
+    occur in their cell.
     """
     proj = {(): {()}}
+    # ext[cells][prefix]: values of cells[-1] that follow prefix on cells[:-1]
+    # in some legal window. Only subsets without cell 0 are ever a tail.
+    ext = {}
     patterns = []
     for size in range(1, 7):
         for cells in combinations(range(6), size):
-            matched = proj[cells] = {tuple(w[c] for c in cells) for w in legal}
-            drops = [(i, cells[:i] + cells[i + 1 :]) for i in range(size - 1)]
-            for head in sorted(proj[cells[:-1]]):
-                for v in domains[cells[-1]]:
-                    cand = head + (v,)
-                    if cand not in matched and all(
-                        cand[:i] + cand[i + 1 :] in proj[sub] for i, sub in drops
-                    ):
-                        patterns.append((cells, cand))
+            if size == 1:
+                # zip over one iterable wraps each value in a 1-tuple
+                matched = proj[cells] = set(zip(map(itemgetter(cells[0]), legal)))
+                cands = [(v,) for v in domains[cells[0]] if (v,) not in matched]
+            else:
+                matched = proj[cells] = set(map(itemgetter(*cells), legal))
+                index = ext[cells[1:]]
+                found = {
+                    head + (v,) for head in proj[cells[:-1]] for v in index[head[1:]]
+                } - matched
+                for i in range(1, size - 1):
+                    drop = itemgetter(*(j for j in range(size) if j != i))
+                    sub = proj[cells[:i] + cells[i + 1 :]]
+                    found = [cand for cand in found if drop(cand) in sub]
+                rank = {v: r for r, v in enumerate(domains[cells[-1]])}
+                cands = sorted(found, key=lambda cand: (cand[:-1], rank[cand[-1]]))
+            patterns.extend([(cells, cand) for cand in cands])
+            if cells[0] != 0:
+                tails = ext[cells] = {}
+                for vals in matched:
+                    tails.setdefault(vals[:-1], []).append(vals[-1])
     return patterns
 
 
@@ -266,8 +294,9 @@ def encode(
     # offset o into the literal -(base + o).
     cell_offset = [spec.cell_base(1 + c // 3, 1 + c % 3) + 1 for c in range(6)]
     domains = [range(off, off + msz) for off in cell_offset]
+    index = spec.index
     legal = {
-        tuple(off + spec.sym_index(s) for off, s in zip(cell_offset, w.top + w.bottom))
+        tuple(off + index[s] for off, s in zip(cell_offset, w.top + w.bottom))
         for w in legal_windows(m)
     }
     if windows == "full":

@@ -82,6 +82,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``;
     clauses are 0-terminated signed integers and may span lines. Literal
     duplicates within a clause are preserved (see :func:`canonical`).
+
+    A line whose first token is ``%`` ends the clause section, as in the
+    SATLIB benchmark files; everything after it is ignored and the header's
+    clause count applies to the clauses before it. A ``%`` anywhere else is
+    a bad token.
     """
     num_vars = None
     num_clauses = None
@@ -112,7 +117,11 @@ def parse_dimacs(text: str) -> CnfFormula:
             try:
                 lit = int(tok)
             except ValueError:
-                raise DimacsError(f"line {lineno}: bad token {tok!r}") from None
+                # A lone "%" on a line that starts with "%" is the line's
+                # first token: any other first token there raised already.
+                if tok != "%" or not line.startswith("%"):
+                    raise DimacsError(f"line {lineno}: bad token {tok!r}") from None
+                break
             if lit == 0:
                 clauses.append(tuple(current))
                 current.clear()
@@ -122,6 +131,9 @@ def parse_dimacs(text: str) -> CnfFormula:
                         f"line {lineno}: variable {abs(lit)} exceeds declared {num_vars}"
                     )
                 current.append(lit)
+        else:
+            continue
+        break  # the SATLIB trailer ends the clause section
     if num_vars is None:
         raise DimacsError("line 0: missing header")
     if current:

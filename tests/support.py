@@ -133,6 +133,31 @@ def row_successors(m: MachineSpec, row: list[str]) -> list[list[str]]:
     return out
 
 
+def blocked_patterns_reference(legal, domains):
+    """Minimal blocked window patterns by testing every domain value.
+
+    The straightforward search that ``cooklevin.blocked_patterns`` must
+    reproduce list for list: each pattern matched on ``cells[:-1]`` (heads
+    in sorted order) is extended by every value of the last cell in domain
+    order and kept when no legal window matches it while every one-cell
+    drop does.
+    """
+    proj = {(): {()}}
+    patterns = []
+    for size in range(1, 7):
+        for cells in itertools.combinations(range(6), size):
+            matched = proj[cells] = {tuple(w[c] for c in cells) for w in legal}
+            drops = [(i, cells[:i] + cells[i + 1 :]) for i in range(size - 1)]
+            for head in sorted(proj[cells[:-1]]):
+                for v in domains[cells[-1]]:
+                    cand = head + (v,)
+                    if cand not in matched and all(
+                        cand[:i] + cand[i + 1 :] in proj[sub] for i, sub in drops
+                    ):
+                        patterns.append((cells, cand))
+    return patterns
+
+
 def one_step_acceptor() -> MachineSpec:
     """Accepts any input starting with 1, in a single step."""
     return MachineSpec(

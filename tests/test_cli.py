@@ -73,6 +73,15 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert run_cli(["solve", str(path)]) == 2
 
 
+def test_solve_accepts_satlib_percent_trailer(tmp_path, capsys):
+    path = tmp_path / "uf.cnf"
+    path.write_text("c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert run_cli(["solve", str(path)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.out == "SAT\n"
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run_cli(["solve", "/nonexistent/path.cnf"]) == 2
 

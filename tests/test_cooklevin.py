@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from satkit.errors import BudgetExceededError
 from satkit.oracle import brute_force_sat
 from satkit.turing import BLANK, MachineSpec, build_equality_checker, run_dtm
 from support import (
+    blocked_patterns_reference,
     machine_inputs,
     one_step_acceptor,
     paper_walker_wrapped,
@@ -184,6 +186,56 @@ def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
     assert set(prefixes) == legal
 
 
+@st.composite
+def window_sets(draw):
+    """Legal-window sets over six cell domains, ints or tagged symbols.
+
+    Domains come in shuffled order, so list order and sorted order differ.
+    """
+    if draw(st.booleans()):
+        domains = [
+            draw(st.permutations(range(10 * c, 10 * c + draw(st.integers(1, 3)))))
+            for c in range(6)
+        ]
+    else:
+        universe = [Q("s0"), Q("s1"), G("0"), G("1"), G(BLANK), BOUNDARY]
+        domains = [
+            draw(st.permutations(universe))[: draw(st.integers(1, 4))] for _ in range(6)
+        ]
+    window = st.tuples(*(st.sampled_from(d) for d in domains))
+    return set(draw(st.lists(window, max_size=40))), domains
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(window_sets())
+def test_blocked_patterns_match_reference(case):
+    legal, domains = case
+    assert blocked_patterns(legal, domains) == blocked_patterns_reference(legal, domains)
+
+
+@pytest.mark.parametrize("machine", [one_step_acceptor, paper_walker_wrapped])
+def test_blocked_patterns_match_reference_on_machines(machine):
+    m = machine()
+    legal = {w.top + w.bottom for w in legal_windows(m)}
+    universe = _universe(m)
+    for domains in ([universe] * 6, [universe[::-1]] * 6):
+        assert blocked_patterns(legal, domains) == blocked_patterns_reference(legal, domains)
+
+
+@pytest.mark.parametrize(
+    "machine, word, p, digest",
+    [
+        (paper_walker_wrapped, "a", 5, "e8c405db0bd7c82c1a909b8e3e77c4343ca124dd"),
+        (build_equality_checker, "1#1", 9, "895b780b58fcf8cd9fc58d3b59d87b6812ba6443"),
+    ],
+)
+def test_encode_clauses_are_pinned(machine, word, p, digest):
+    # sha1 of the clause tuple of the grow-by-every-value search: the join
+    # must emit the same clauses in the same order
+    f, _ = encode(machine(), word, p)
+    assert hashlib.sha1(repr(f.clauses).encode()).hexdigest() == digest
+
+
 def test_compact_matches_full_on_battery():
     # every battery combo whose paper-literal encoding stays under ~1M clauses
     checked = 0
@@ -339,6 +391,17 @@ def _tag(m, label):
     if label in m.states:
         return Q(label)
     return G(label)
+
+
+def test_spec_symbol_index():
+    m = one_step_acceptor()
+    _, spec = encode(m, "1", 4)
+    for var in range(1, spec.num_vars + 1):
+        row, col, sym = spec.cell_of(var)
+        assert spec.var(row, col, sym) == var
+    assert [spec.sym_index(s) for s in spec.symbols] == list(range(spec.num_symbols))
+    with pytest.raises(ValueError, match="universe"):
+        spec.var(1, 1, G("z"))
 
 
 def test_var_map_entries():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.formula import (
     CnfFormula,
@@ -62,6 +63,41 @@ def test_parse_clause_count_mismatch():
 def test_parse_comments_and_multiline_clauses():
     f = parse_dimacs("c comment\np cnf 2 1\nc another\n1\n-2 0\n")
     assert f.clauses == ((1, -2),)
+
+
+def test_parse_satlib_percent_trailer():
+    assert parse_dimacs("p cnf 1 1\n1 0\n%\n0\n") == CnfFormula(1, [(1,)])
+    # everything after the trailer is ignored, however malformed
+    f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n  %  junk\n0\nx y z\n")
+    assert f.clauses == ((1, -2), (2, 3))
+    # the clause count and the terminator are checked before the trailer
+    with pytest.raises(DimacsError, match="declares 2 clauses, found 1"):
+        parse_dimacs("p cnf 1 2\n1 0\n%\n1 0\n")
+    with pytest.raises(DimacsError, match="not terminated"):
+        parse_dimacs("p cnf 1 1\n1\n%\n0\n")
+
+
+def test_parse_percent_elsewhere_is_a_bad_token():
+    for text in ("p cnf 1 1\n1 % 0\n", "p cnf 1 1\n1 0 %\n", "p cnf 1 1\n1 0\n%0\n"):
+        with pytest.raises(DimacsError, match="bad token"):
+            parse_dimacs(text)
+    with pytest.raises(DimacsError, match="before header"):
+        parse_dimacs("%\np cnf 1 0\n")
+
+
+@st.composite
+def cnf_formulas(draw, max_vars=6, max_width=6):
+    n = draw(st.integers(0, max_vars))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))) if n else st.nothing()
+    clause = st.lists(lit, max_size=max_width if n else 0).map(tuple)
+    return CnfFormula(n, draw(st.lists(clause, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cnf_formulas())
+def test_dimacs_round_trip_property(f):
+    # empty clauses, repeated literals and clause-free formulas included
+    assert parse_dimacs(write_dimacs(f)) == f
 
 
 def test_write_empty():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.formula import CnfFormula, evaluate, max_clause_width
 from satkit.oracle import brute_force_sat, equisatisfiable
@@ -131,3 +132,20 @@ def test_projection_satisfies_source():
 def test_deterministic():
     f = CnfFormula(4, [(1, 2, 3, 4), (2,)])
     assert to_3cnf(f) == to_3cnf(f)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_to_3cnf_project_witness_property(data):
+    n = data.draw(st.integers(1, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    f = CnfFormula(n, data.draw(st.lists(st.lists(lit, min_size=1, max_size=6), max_size=6)))
+    r = to_3cnf(f)
+    assert max_clause_width(r.formula) <= 3
+    expected = brute_force_sat(f)
+    got = brute_force_sat(r.formula, max_vars=r.formula.num_vars)
+    assert got.satisfiable == expected.satisfiable
+    if got.satisfiable:
+        projected = project_witness(r, got.witness)
+        assert set(projected) == set(range(1, n + 1))
+        assert evaluate(f, projected) is True
