@@ -19,7 +19,6 @@ from .threecnf import to_3cnf
 from .errors import BudgetExceededError
 from .formula import (
     CnfFormula,
-    DimacsError,
     DnfFormula,
     assignment_from_json,
     assignment_to_json,
@@ -42,6 +41,13 @@ def _budget() -> int:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json(path: str, parse=json.loads):
+    try:
+        return parse(_read(path))
+    except RecursionError:  # nesting deeper than the JSON decoder can follow
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -141,15 +147,18 @@ def _cmd_reduce(args) -> int:
 
 
 def _load_witness(kind: str, path: str):
-    data = json.loads(_read(path))
+    data = _read_json(path)
     try:
         if kind == "clique":
             return set(data["vertices"])
         if kind == "hamcycle":
-            return list(data["cycle"])
+            cycle = list(data["cycle"])
+            if not all(isinstance(v, str) for v in cycle):
+                raise ValueError("malformed hamcycle witness file: cycle entries must be strings")
+            return cycle
         if kind == "3color":
             return {str(k): int(v) for k, v in data["coloring"].items()}
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed {kind} witness file") from exc
     raise ValueError(f"unknown witness kind {kind!r}")
 
@@ -164,10 +173,10 @@ _INSTANCE_TYPES = {
 def _cmd_verify(args) -> int:
     if args.kind == "assignment":
         f = _parse_cnf_file(args.instance)
-        witness = assignment_from_json(_read(args.witness))
+        witness = _read_json(args.witness, assignment_from_json)
         ok = evaluate(f, witness) is True
     else:
-        inst = reductions.instance_from_json(_read(args.instance))
+        inst = _read_json(args.instance, reductions.instance_from_json)
         if not isinstance(inst, _INSTANCE_TYPES[args.kind]):
             raise ValueError(f"{args.instance} does not hold a {args.kind} instance")
         witness = _load_witness(args.kind, args.witness)
@@ -182,7 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    inst = reductions.instance_from_json(_read(args.instance))
+    inst = _read_json(args.instance, reductions.instance_from_json)
     if isinstance(inst, reductions.CliqueInstance):
         witness = _load_witness("clique", args.witness)
         translate = reductions.clique_witness_to_assignment
@@ -336,7 +345,7 @@ def run_cli(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except (DimacsError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # DimacsError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -52,8 +52,8 @@ class CnfFormula:
 
     @classmethod
     def _trusted(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "CnfFormula":
-        # Validation-free path for generators that emit millions of clauses
-        # they constructed themselves (tableau encodings).
+        # Validation-free path for callers that emit or parse millions of
+        # clauses they have already checked (tableau encodings, DIMACS).
         obj = object.__new__(cls)
         object.__setattr__(obj, "num_vars", num_vars)
         object.__setattr__(obj, "clauses", clauses)
@@ -142,7 +142,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError(
             f"line {last_line}: header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars, clauses)
+    return CnfFormula._trusted(num_vars, tuple(clauses))
 
 
 def write_dimacs(f: CnfFormula) -> str:

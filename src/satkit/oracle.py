@@ -1,20 +1,20 @@
 """Exhaustive-search ground truth for SAT, equisatisfiability, and MAX-SAT.
 
 Everything here is deliberately brute force: no learning, no heuristics, no
-propagation. :func:`brute_force_sat` walks the assignment tree in
-lexicographic order (variable 1 most significant, false before true) and
-only skips a subtree once some clause is already fully falsified, which
-cannot change the outcome or the first witness found. That keeps tableau
-encodings with a few hundred variables checkable while staying auditable.
+propagation. One walk serves SAT and MAX-SAT: it visits the assignment tree
+in lexicographic order (variable 1 most significant, false before true),
+counts the clauses each path has falsified, and skips a subtree once that
+count reaches the best total so far (one, for SAT), which cannot change the
+outcome or the first witness found. That keeps tableau encodings with a few
+hundred variables checkable while staying auditable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetExceededError
-from .formula import Assignment, CnfFormula, count_satisfied
+from .formula import Assignment, CnfFormula
 
 DEFAULT_MAX_VARS = 24
 
@@ -35,21 +35,12 @@ def _check_budget(f: CnfFormula, max_vars: int) -> None:
         )
 
 
-def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResult:
-    """Exhaustive satisfiability check with deterministic witness.
+def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
+    """Fewest clauses a total assignment falsifies, and the first one that does.
 
-    The witness, when present, is the lexicographically first satisfying
-    total assignment (false < true, variable 1 most significant). Formulas
-    larger than ``max_vars`` are refused, never truncated.
+    ``(ceiling, None)`` if none falsifies fewer than ``ceiling``; 0 ends the walk.
     """
-    _check_budget(f, max_vars)
     n = f.num_vars
-    for clause in f.clauses:
-        if not clause:
-            return SatResult(False, None)
-    if n == 0:
-        return SatResult(True, {})
-
     # A clause can only become falsified at the moment its highest variable
     # is assigned, and only if that variable's literal there has the losing
     # polarity. Bucket clauses accordingly so each branch looks at a clause
@@ -57,14 +48,22 @@ def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResul
     check_on_false: list[list] = [[] for _ in range(n + 1)]
     check_on_true: list[list] = [[] for _ in range(n + 1)]
     for clause in f.clauses:
+        if not clause:
+            continue
         hi, lo = max(clause), min(clause)
         v = hi if hi > -lo else -lo
         if hi == v and lo == -v:
             continue
         (check_on_false if hi == v else check_on_true)[v].append(clause)
+    empty = f.clauses.count(())
+    if n == 0:
+        return (empty, {}) if empty < ceiling else (ceiling, None)
 
+    # falsified[v]: clauses this path falsifies before variable v is set
+    falsified = [empty] * (n + 2)
     value = [False] * (n + 1)
     state = [0] * (n + 2)  # 0: try false next, 1: try true next, 2: exhausted
+    best, witness = ceiling, None
     v = 1
     while v >= 1:
         s = state[v]
@@ -74,21 +73,38 @@ def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResul
             continue
         state[v] = s + 1
         value[v] = s == 1
-        bucket = check_on_true[v] if s else check_on_false[v]
-        ok = True
-        for clause in bucket:
+        got = falsified[v]
+        for clause in check_on_true[v] if s else check_on_false[v]:
             for lit in clause:
                 if value[lit] if lit > 0 else not value[-lit]:
                     break
             else:
-                ok = False
-                break
-        if not ok:
+                got += 1
+                if got >= best:
+                    break
+        # Ties prune too, so the first optimal assignment stays the witness.
+        if got >= best:
             continue
-        if v == n:
-            return SatResult(True, {i: value[i] for i in range(1, n + 1)})
-        v += 1
-    return SatResult(False, None)
+        if v < n:
+            v += 1
+            falsified[v] = got
+            continue
+        best, witness = got, {i: value[i] for i in range(1, n + 1)}
+        if not got:
+            break
+    return best, witness
+
+
+def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResult:
+    """Exhaustive satisfiability check with deterministic witness.
+
+    The witness, when present, is the lexicographically first satisfying
+    total assignment (false < true, variable 1 most significant). Formulas
+    larger than ``max_vars`` are refused, never truncated.
+    """
+    _check_budget(f, max_vars)
+    _, witness = _walk(f, 1)
+    return SatResult(witness is not None, witness)
 
 
 def equisatisfiable(
@@ -106,22 +122,12 @@ def max_sat_optimum(
 ) -> tuple[int, Assignment]:
     """Maximum satisfiable clause count and its first witnessing assignment.
 
-    Enumerates every total assignment in lexicographic order; the witness is
-    the first one attaining the maximum.
+    Same walk as :func:`brute_force_sat`; the witness is the
+    lexicographically first total assignment attaining the maximum.
     """
     _check_budget(f, max_vars)
-    n = f.num_vars
-    best = -1
-    best_assignment: Assignment = {}
-    for bits in product((False, True), repeat=n):
-        a = {i + 1: bits[i] for i in range(n)}
-        got = count_satisfied(f, a)
-        if got > best:
-            best = got
-            best_assignment = a
-            if best == len(f.clauses):
-                break
-    return best, best_assignment
+    fewest, witness = _walk(f, len(f.clauses) + 1)
+    return len(f.clauses) - fewest, witness
 
 
 def max_sat_decide(f: CnfFormula, k: int, max_vars: int = DEFAULT_MAX_VARS) -> bool:

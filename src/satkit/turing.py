@@ -23,7 +23,6 @@ nondeterministic option set. Lines starting with ``#`` are comments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Literal
 
 BLANK = "_"
@@ -94,9 +93,6 @@ class MachineSpec:
         if got is None:
             return ((self.q_reject, symbol, "R"),)
         return got
-
-    def branching_factor(self) -> int:
-        return max((len(o) for o in self.delta.values()), default=1)
 
 
 def _canon_tape(cells: tuple[str, ...], head: int) -> tuple[str, ...]:
@@ -198,47 +194,35 @@ def run_ntm(
 ) -> tuple[RunOutcome, tuple[int, ...] | None]:
     """Deterministic simulation of a nondeterministic machine.
 
-    Choice strings over {1..b} (b the maximum branching factor) are
-    enumerated in length-lexicographic order and each one is replayed from
-    the initial configuration. The first accepting replay wins and its
-    choice string is returned. If every branch rejects within the depth the
-    verdict is reject; if any branch is still live at ``depth_limit`` the
-    verdict is step_limit_exceeded.
+    Iterative deepening: for each length 0..``depth_limit`` the choice tree
+    is walked depth first on an explicit stack, branches in lexicographic
+    order of their choice strings. The first accepting branch wins and its
+    choice string is returned. If no branch is live at some length the
+    verdict is reject, with the last halted branch; if one is still live at
+    ``depth_limit`` it is step_limit_exceeded, with the last live branch.
     """
     start = initial_configuration(m, input_symbols)
-    b = m.branching_factor()
-    last_halted: Configuration | None = None
-    last_halted_steps = 0
     last_live = start
     for length in range(depth_limit + 1):
-        any_live = False
-        for choices in product(range(1, b + 1), repeat=length):
-            c = start
-            consumed = 0
-            aborted = False
-            for choice in choices:
-                if m.is_halting(c.state):
-                    break
-                options = m.options(c.state, c.read())
-                if choice > len(options):
-                    aborted = True
-                    break
-                c = step(m, c, choice - 1)
-                consumed += 1
-            if aborted:
-                continue
+        last_halted, halted_steps, any_live = start, 0, False
+        path: list[int] = []
+        stack = [(0, 0, start)]
+        while stack:
+            depth, choice, c = stack.pop()
+            if depth:
+                path[depth - 1 :] = (choice,)
             if c.state == m.q_accept:
-                outcome = RunOutcome("accept", consumed, c)
-                return outcome, tuple(choices[:consumed])
-            if m.is_halting(c.state):
-                last_halted = c
-                last_halted_steps = consumed
-            elif consumed == length:
-                any_live = True
-                last_live = c
+                return RunOutcome("accept", depth, c), tuple(path)
+            if c.state == m.q_reject:
+                last_halted, halted_steps = c, depth
+            elif depth == length:
+                any_live, last_live = True, c
+            else:
+                # Last choice pushed first, so the first choice pops first.
+                for i in reversed(range(len(m.options(c.state, c.read())))):
+                    stack.append((depth + 1, i + 1, step(m, c, i)))
         if not any_live:
-            final = last_halted if last_halted is not None else start
-            return RunOutcome("reject", last_halted_steps, final), None
+            return RunOutcome("reject", halted_steps, last_halted), None
     return RunOutcome("step_limit_exceeded", depth_limit, last_live), None
 
 

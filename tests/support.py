@@ -10,8 +10,15 @@ import itertools
 import random
 import re
 
-from satkit.formula import CnfFormula, DnfFormula
-from satkit.turing import BLANK, Configuration, MachineSpec, initial_configuration, step
+from satkit.formula import CnfFormula, DnfFormula, count_satisfied
+from satkit.turing import (
+    BLANK,
+    Configuration,
+    MachineSpec,
+    RunOutcome,
+    initial_configuration,
+    step,
+)
 
 
 def all_assignments(num_vars):
@@ -100,6 +107,72 @@ def bfs_ntm_accepts(m: MachineSpec, input_symbols, depth_limit: int) -> bool:
                     nxt.append(child)
         frontier = nxt
     return False
+
+
+def max_sat_optimum_reference(f: CnfFormula):
+    """MAX-SAT by enumerating every total assignment in lexicographic order.
+
+    The enumeration ``oracle.max_sat_optimum`` replaced, kept as its
+    reference (without the variable budget): the witness is the first
+    assignment attaining the maximum.
+    """
+    n = f.num_vars
+    best = -1
+    best_assignment = {}
+    for bits in itertools.product((False, True), repeat=n):
+        a = {i + 1: bits[i] for i in range(n)}
+        got = count_satisfied(f, a)
+        if got > best:
+            best = got
+            best_assignment = a
+            if best == len(f.clauses):
+                break
+    return best, best_assignment
+
+
+def run_ntm_reference(m: MachineSpec, input_symbols, depth_limit: int):
+    """NTM search by replaying every choice string from the start.
+
+    The replay ``turing.run_ntm`` replaced, kept as its reference: choice
+    strings over {1..b} (b the maximum branching factor) in
+    length-lexicographic order, each replayed from the initial
+    configuration.
+    """
+    start = initial_configuration(m, input_symbols)
+    b = max((len(o) for o in m.delta.values()), default=1)
+    last_halted = None
+    last_halted_steps = 0
+    last_live = start
+    for length in range(depth_limit + 1):
+        any_live = False
+        for choices in itertools.product(range(1, b + 1), repeat=length):
+            c = start
+            consumed = 0
+            aborted = False
+            for choice in choices:
+                if m.is_halting(c.state):
+                    break
+                options = m.options(c.state, c.read())
+                if choice > len(options):
+                    aborted = True
+                    break
+                c = step(m, c, choice - 1)
+                consumed += 1
+            if aborted:
+                continue
+            if c.state == m.q_accept:
+                outcome = RunOutcome("accept", consumed, c)
+                return outcome, tuple(choices[:consumed])
+            if m.is_halting(c.state):
+                last_halted = c
+                last_halted_steps = consumed
+            elif consumed == length:
+                any_live = True
+                last_live = c
+        if not any_live:
+            final = last_halted if last_halted is not None else start
+            return RunOutcome("reject", last_halted_steps, final), None
+    return RunOutcome("step_limit_exceeded", depth_limit, last_live), None
 
 
 def row_successors(m: MachineSpec, row: list[str]) -> list[list[str]]:

@@ -2,15 +2,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import satkit
 from satkit.cli import run_cli
 from satkit.formula import assignment_from_json, parse_dimacs
 from satkit.oracle import brute_force_sat
-from satkit.reductions import instance_from_json
+from satkit.reductions import (
+    instance_from_json,
+    instance_to_json,
+    reduce_to_3color,
+    reduce_to_clique,
+    reduce_to_hamcycle,
+)
 from satkit.tractable import solve_2sat
 from satkit.turing import build_equality_checker, format_machine
 from support import branching_acceptor, one_step_acceptor
@@ -300,3 +308,164 @@ def test_cli_deterministic_output(cnf31, capsys):
     first = capsys.readouterr().out
     run_cli(["solve", cnf31])
     assert capsys.readouterr().out == first
+
+
+HAMCYCLE = reduce_to_hamcycle(parse_dimacs(FIG_3CNF), strict=True)
+INSTANCES = {
+    "clique": instance_to_json(reduce_to_clique(parse_dimacs(FIG_3CNF))),
+    "hamcycle": instance_to_json(HAMCYCLE),
+    "3color": instance_to_json(reduce_to_3color(parse_dimacs(FIG_3CNF))),
+}
+# One list per vertex, as many entries as the graph has vertices.
+NESTED_CYCLE = json.dumps({"cycle": [[v] for v in HAMCYCLE.graph.vertices]})
+DEEP_JSON = "[" * 5000
+
+
+@pytest.mark.parametrize("command", [["verify", "hamcycle"], ["translate"]])
+def test_non_string_cycle_entries_are_usage_errors(command, tmp_path, capsys):
+    inst = tmp_path / "h.json"
+    inst.write_text(INSTANCES["hamcycle"])
+    witness = tmp_path / "w.json"
+    witness.write_text(NESTED_CYCLE)
+    assert run_cli([*command, str(inst), str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cycle entries must be strings" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "assignment", "f.cnf", "deep.json"],
+        ["verify", "hamcycle", "deep.json", "w.json"],
+        ["translate", "h.json", "deep.json"],
+    ],
+    ids=["assignment", "instance", "witness"],
+)
+def test_deeply_nested_json_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "f.cnf").write_text(FIG_3CNF)
+    (tmp_path / "h.json").write_text(INSTANCES["hamcycle"])
+    (tmp_path / "w.json").write_text(json.dumps({"cycle": []}))
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    assert run_cli([str(tmp_path / a) if "." in a else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err
+
+
+def test_infinite_color_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "c.json"
+    inst.write_text(INSTANCES["3color"])
+    witness = tmp_path / "w.json"
+    witness.write_text('{"coloring": {"T": Infinity}}')
+    assert run_cli(["verify", "3color", str(inst), str(witness)]) == 2
+    assert "malformed 3color witness file" in capsys.readouterr().err
+
+
+JSON_KEYS = [
+    "vertices", "cycle", "coloring", "vars", "formula", "kind", "edges",
+    "num_vars", "clauses", "strict", "1", "T", "s",
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(JSON_KEYS + ["clique", "hamcycle", "3color"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replace_field(text, key, value):
+    data = json.loads(text)
+    data[key] = value
+    return json.dumps(data)
+
+
+def _witness_shape(kind, value):
+    """A well-formed witness of ``kind`` with one entry replaced by ``value``."""
+    if kind == "assignment":
+        return json.dumps({"vars": {"1": value, "2": False, "3": True}})
+    vertices = json.loads(INSTANCES[kind])["vertices"]
+    return json.dumps({
+        "clique": {"vertices": vertices[:3] + [value]},
+        "hamcycle": {"cycle": vertices[:-1] + [value]},
+        "3color": {"coloring": {**{v: 1 for v in vertices[:-1]}, vertices[-1]: value}},
+    }[kind])
+
+
+malformed_json = st.one_of(
+    st.text(max_size=12),
+    json_values.map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth),
+)
+instance_texts = st.one_of(
+    malformed_json,
+    st.builds(
+        _replace_field,
+        st.sampled_from(sorted(INSTANCES.values())),
+        st.sampled_from(["formula", "kind", "vertices", "edges", "strict"]),
+        json_values,
+    ),
+)
+witness_texts = st.one_of(
+    malformed_json,
+    st.builds(lambda key, value: json.dumps({key: value}), st.sampled_from(JSON_KEYS), json_values),
+)
+dimacs_tokens = st.sampled_from(["p", "cnf", "c", "%", "0", "x", "-", "1.5", ""]) | st.integers(
+    -4, 4
+).map(str)
+dimacs_lines = st.one_of(
+    st.lists(dimacs_tokens, max_size=5).map(" ".join),
+    st.builds("p cnf {} {}".format, st.integers(-1, 5), st.integers(-1, 5)),
+)
+dimacs_texts = st.one_of(
+    st.text(max_size=20),
+    st.lists(dimacs_lines, max_size=6).map("\n".join),
+    st.sampled_from([FIG_3CNF, EXAMPLE_31, EXAMPLE_33]),
+)
+CNF_COMMANDS = [["verify", "assignment"], ["solve"]] + [
+    ["solve", "--method", m] for m in ("2sat", "horn", "dnf", "brute")
+]
+JSON_COMMANDS = [["verify", kind] for kind in INSTANCES] + [["translate"]]
+
+
+@st.composite
+def cli_cases(draw):
+    """A command, its instance text and its witness text, each possibly malformed."""
+    command = draw(st.sampled_from(CNF_COMMANDS + JSON_COMMANDS))
+    if command in CNF_COMMANDS:
+        kind = "assignment"
+        instance = draw(dimacs_texts)
+    else:
+        kind = command[1] if command[0] == "verify" else draw(st.sampled_from(sorted(INSTANCES)))
+        instance = INSTANCES[kind] if draw(st.booleans()) else draw(instance_texts)
+    if draw(st.booleans()):
+        value = draw(st.sampled_from([True, False, 1, 2, 3, "T", "s"]) | json_values)
+        return command, instance, _witness_shape(kind, value)
+    return command, instance, draw(witness_texts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_cases())
+@example((["verify", "hamcycle"], INSTANCES["hamcycle"], NESTED_CYCLE))
+@example((["translate"], INSTANCES["hamcycle"], NESTED_CYCLE))
+@example((["verify", "assignment"], FIG_3CNF, DEEP_JSON))
+@example((["verify", "clique"], DEEP_JSON, "{}"))
+@example((["translate"], INSTANCES["3color"], DEEP_JSON))
+@example((["translate"], INSTANCES["3color"], '{"coloring": {"T": Infinity}}'))
+def test_cli_exit_code_contract_on_malformed_files(case):
+    command, instance, witness = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "instance.cnf")
+        witness_path = os.path.join(tmp, "witness.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            fh.write(instance)
+        with open(witness_path, "w", encoding="utf-8") as fh:
+            fh.write(witness)
+        paths = [inst_path] if command[0] == "solve" else [inst_path, witness_path]
+        # Anything raised fails the test: run_cli must map every input to a code.
+        assert run_cli([*command, *paths]) in (0, 1, 2, 3)

@@ -1,11 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.errors import BudgetExceededError
 from satkit.formula import CnfFormula, evaluate, parse_dimacs
-from satkit.oracle import brute_force_sat, equisatisfiable, max_sat_decide, max_sat_optimum
-from support import first_satisfying, random_cnf
+from satkit.oracle import (
+    SatResult,
+    brute_force_sat,
+    equisatisfiable,
+    max_sat_decide,
+    max_sat_optimum,
+)
+from support import first_satisfying, max_sat_optimum_reference, random_cnf, random_3cnf
 
 EXAMPLE_31 = parse_dimacs("p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n")
 EXAMPLE_33 = CnfFormula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
@@ -105,3 +112,36 @@ def test_max_sat_consistency_with_sat():
         assert (best == len(f.clauses)) == sat
         assert max_sat_decide(f, best)
         assert not max_sat_decide(f, best + 1)
+
+
+@st.composite
+def walk_formulas(draw):
+    n = draw(st.integers(0, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))) if n else st.nothing()
+    # empty clauses, repeated literals and tautologies all occur
+    clause = st.lists(lit, max_size=5 if n else 0).map(tuple)
+    return CnfFormula(n, draw(st.lists(clause, max_size=14)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(walk_formulas())
+def test_walk_matches_enumeration(f):
+    assert max_sat_optimum(f) == max_sat_optimum_reference(f)
+    witness = first_satisfying(f)
+    assert brute_force_sat(f) == SatResult(witness is not None, witness)
+
+
+def test_max_sat_optimum_at_twenty_variables():
+    # Two over-constrained halves on disjoint variables: the optimum is the
+    # sum of the halves' optima and the lexicographically first witness is
+    # the union of theirs, so the n=10 reference checks the n=20 walk.
+    rng = random.Random(20)
+    g = random_3cnf(rng, 10, 60)
+    h = random_3cnf(rng, 10, 60)
+    shifted = [tuple(lit + 10 if lit > 0 else lit - 10 for lit in c) for c in h.clauses]
+    f = CnfFormula(20, list(g.clauses) + shifted)
+    best_g, witness_g = max_sat_optimum_reference(g)
+    best_h, witness_h = max_sat_optimum_reference(h)
+    assert best_g < len(g.clauses) and best_h < len(h.clauses)
+    witness = {**witness_g, **{v + 10: b for v, b in witness_h.items()}}
+    assert max_sat_optimum(f) == (best_g + best_h, witness)

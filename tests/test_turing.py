@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.turing import (
     BLANK,
@@ -16,7 +17,14 @@ from satkit.turing import (
     run_ntm,
     step,
 )
-from support import bfs_ntm_accepts, branching_acceptor, one_step_acceptor, tableau_battery
+from support import (
+    bfs_ntm_accepts,
+    branching_acceptor,
+    machine_inputs,
+    one_step_acceptor,
+    run_ntm_reference,
+    tableau_battery,
+)
 
 
 def test_machine_validation():
@@ -154,6 +162,58 @@ def test_run_ntm_agrees_with_bfs_oracle():
                 assert (got.verdict == "accept") == bfs_ntm_accepts(m, w, depth), (
                     m.q0, w, depth,
                 )
+
+
+@st.composite
+def ntm_machines(draw):
+    names = ["s0", "s1", "s2", "s3"][: draw(st.integers(2, 4))]
+    q_accept, q_reject = draw(st.permutations(names))[:2]
+    inputs = draw(st.sampled_from([{"1"}, {"0", "1"}]))
+    tape = sorted(inputs | {BLANK})
+    option = st.tuples(st.sampled_from(names), st.sampled_from(tape), st.sampled_from("LR"))
+    delta = {}
+    for q in names:
+        if q in (q_accept, q_reject):
+            continue
+        for a in tape:
+            options = draw(st.lists(option, max_size=3))
+            if options:
+                delta[(q, a)] = options
+    # the start state is sometimes halting
+    q0 = draw(st.sampled_from(names))
+    return MachineSpec(set(names), inputs, set(tape), delta, q0, q_accept, q_reject)
+
+
+def _same_run(m, w, depth):
+    got, choices = run_ntm(m, w, depth)
+    want, want_choices = run_ntm_reference(m, w, depth)
+    assert (got, choices) == (want, want_choices), (w, depth)
+    assert got.final == want.final
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ntm_machines(), st.data())
+def test_run_ntm_matches_replay_on_random_machines(m, data):
+    w = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=3))
+    _same_run(m, w, data.draw(st.integers(0, 5)))
+
+
+def test_run_ntm_matches_replay_on_battery():
+    for m in tableau_battery():
+        for w in machine_inputs(m, 2):
+            for depth in range(7):
+                _same_run(m, w, depth)
+
+
+def test_run_ntm_deep_deterministic_run():
+    # 1,250 steps: deeper than the interpreter's recursion limit
+    m = build_equality_checker()
+    w = "10" * 12 + "#" + "10" * 12
+    d = run_dtm(m, w, 1500)
+    got, choices = run_ntm(m, w, 1500)
+    assert d.verdict == "accept" and d.steps_used > 1000
+    assert got == d and got.final == d.final
+    assert choices == (1,) * d.steps_used
 
 
 def test_encode_multitape_single():
