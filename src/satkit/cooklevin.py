@@ -250,6 +250,52 @@ def _single_getter(offset: int):
     return lambda lits: (lits[offset],)
 
 
+def _window_domains(msz: int) -> list[range]:
+    # Window cell c holding symbol index v is offset c * msz + v: the
+    # position of its literal in the window's two 3-cell row slices.
+    return [range(c * msz, (c + 1) * msz) for c in range(6)]
+
+
+# Window constraints per machine content; a small bound keeps a long run over
+# many machines from holding every machine's patterns.
+_WINDOW_MEMO_SIZE = 32
+_window_memo: dict = {}
+
+
+def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
+    """Legal windows and minimal blocked patterns of ``m`` as window offsets.
+
+    Both depend on the machine alone, not on the input or p, so they are
+    computed once per machine content and kept in a bounded memo. The key is
+    the machine's full content, so separately built equal machines share an
+    entry. Windows are 6-tuples over :func:`_window_domains`; patterns are
+    the value tuples of :func:`blocked_patterns` over the same domains.
+    """
+    key = (
+        m.states,
+        m.input_alphabet,
+        m.tape_alphabet,
+        tuple(sorted(m.delta.items())),
+        m.q0,
+        m.q_accept,
+        m.q_reject,
+    )
+    got = _window_memo.get(key)
+    if got is None:
+        symbols = _tableau_symbols(m)
+        msz = len(symbols)
+        index = {s: i for i, s in enumerate(symbols)}
+        legal = frozenset(
+            tuple(c * msz + index[s] for c, s in enumerate(w.top + w.bottom))
+            for w in legal_windows(m)
+        )
+        patterns = tuple(vals for _, vals in blocked_patterns(legal, _window_domains(msz)))
+        if len(_window_memo) >= _WINDOW_MEMO_SIZE:
+            _window_memo.pop(next(iter(_window_memo)), None)
+        got = _window_memo[key] = (legal, patterns)
+    return got
+
+
 def encode(
     m: MachineSpec,
     input_symbols: str | list[str],
@@ -276,6 +322,11 @@ def encode(
       ``max_clauses`` bounds (p-1)(p-2) * |universe|^6.
 
     Encodings over the budget are refused, never truncated.
+
+    The legal windows and the blocked patterns depend on the machine alone.
+    They are computed once per machine content, over symbol indices, and
+    reused across inputs and values of p; each call only picks their
+    literals out of each window position's cells.
     """
     if windows not in ("compact", "full"):
         raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")
@@ -289,16 +340,6 @@ def encode(
     msz = spec.num_symbols
     positions = (p - 1) * (p - 2)
 
-    # Window cells and the patterns over them are written as variable
-    # offsets from the window's top-left cell base: a window position turns
-    # offset o into the literal -(base + o).
-    cell_offset = [spec.cell_base(1 + c // 3, 1 + c % 3) + 1 for c in range(6)]
-    domains = [range(off, off + msz) for off in cell_offset]
-    index = spec.index
-    legal = {
-        tuple(off + index[s] for off, s in zip(cell_offset, w.top + w.bottom))
-        for w in legal_windows(m)
-    }
     if windows == "full":
         move_clause_bound = positions * msz**6
         if move_clause_bound > max_clauses:
@@ -306,9 +347,10 @@ def encode(
                 f"about {move_clause_bound:,} move clauses exceed the encoding "
                 f"budget of {max_clauses:,}; shrink the machine or p"
             )
-        patterns = [w for w in product(*domains) if w not in legal]
+        legal, _ = _window_constraints(m)
+        patterns = [w for w in product(*_window_domains(msz)) if w not in legal]
     else:
-        patterns = [vals for _, vals in blocked_patterns(legal, domains)]
+        _, patterns = _window_constraints(m)
         total = p * p * (1 + msz * (msz - 1) // 2) + p + 1 + positions * len(patterns)
         if total > max_clauses:
             raise BudgetExceededError(
@@ -348,15 +390,18 @@ def encode(
         )
     )
 
-    # Each pattern's getter picks its clause out of the negated literals
-    # from the window's base on.
+    # Each pattern's getter picks its clause out of the negated literals of a
+    # window's top row cells followed by its bottom row cells.
     getters = [
         itemgetter(*offs) if len(offs) > 1 else _single_getter(offs[0]) for offs in patterns
     ]
+    span = 3 * msz
     for row in range(1, p):
         for col in range(1, p - 1):
-            shifted = neg[spec.cell_base(row, col) :]
-            clauses.extend([get(shifted) for get in getters])
+            top = spec.cell_base(row, col) + 1
+            bottom = spec.cell_base(row + 1, col) + 1
+            window = neg[top : top + span] + neg[bottom : bottom + span]
+            clauses.extend([get(window) for get in getters])
 
     return CnfFormula._trusted(spec.num_vars, tuple(clauses)), spec
 

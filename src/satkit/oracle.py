@@ -47,15 +47,15 @@ def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
     # at most once; clauses containing both v and -v can never falsify.
     check_on_false: list[list] = [[] for _ in range(n + 1)]
     check_on_true: list[list] = [[] for _ in range(n + 1)]
-    for clause in f.clauses:
-        if not clause:
-            continue
-        hi, lo = max(clause), min(clause)
+    clauses = f.clauses
+    empty = clauses.count(())
+    if empty:  # max() and min() refuse an empty clause
+        clauses = [clause for clause in clauses if clause]
+    for clause, hi, lo in zip(clauses, map(max, clauses), map(min, clauses)):
         v = hi if hi > -lo else -lo
         if hi == v and lo == -v:
             continue
         (check_on_false if hi == v else check_on_true)[v].append(clause)
-    empty = f.clauses.count(())
     if n == 0:
         return (empty, {}) if empty < ceiling else (ceiling, None)
 

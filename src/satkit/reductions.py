@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .formula import Assignment, Clause, CnfFormula, evaluate, max_clause_width
 from .graph import (
@@ -450,7 +451,10 @@ def instance_from_json(text: str):
 
     The graph is reconstructed by re-running the reduction on the embedded
     formula and cross-checked against the stored vertex and edge lists, so a
-    tampered or mislabeled file is rejected rather than trusted.
+    tampered or mislabeled file is rejected rather than trusted. A vertex
+    list whose length differs from the reduction's documented size is
+    rejected before the reduction runs, so a small file cannot make it build
+    a large graph.
     """
     data = json.loads(text)
     _check_instance_shape(data)
@@ -458,12 +462,18 @@ def instance_from_json(text: str):
         data["formula"]["num_vars"], [tuple(c) for c in data["formula"]["clauses"]]
     )
     kind = data["kind"]
+    n, k = f.num_vars, len(f.clauses)
     if kind == "clique":
-        inst = reduce_to_clique(f)
+        size, reduce = 3 * k, reduce_to_clique
     elif kind == "hamcycle":
-        inst = reduce_to_hamcycle(f, strict=bool(data.get("strict", False)))
+        strict = bool(data.get("strict", False))
+        size = n * (3 * k + 3) + k + 2 if strict else 2 * n * k + k + 2
+        reduce = partial(reduce_to_hamcycle, strict=strict)
     else:
-        inst = reduce_to_3color(f)
+        size, reduce = 2 * n + 3 + 6 * k, reduce_to_3color
+    if len(data["vertices"]) != size:
+        raise ValueError("instance file does not match its own formula")
+    inst = reduce(f)
     directed = isinstance(inst.graph, Digraph)
     stored = {tuple(e) if directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])

@@ -469,3 +469,18 @@ def test_cli_exit_code_contract_on_malformed_files(case):
         paths = [inst_path] if command[0] == "solve" else [inst_path, witness_path]
         # Anything raised fails the test: run_cli must map every input to a code.
         assert run_cli([*command, *paths]) in (0, 1, 2, 3)
+
+
+def test_verify_refuses_mis_sized_instance_quickly(tmp_path, capsys):
+    # 94 bytes claiming 50,000 variables: refused before the reduction runs
+    inst = tmp_path / "c.json"
+    inst.write_text(
+        '{"kind": "3color", "formula": {"num_vars": 50000, "clauses": []}, '
+        '"vertices": [], "edges": []}'
+    )
+    witness = tmp_path / "w.json"
+    witness.write_text('{"coloring": {}}')
+    assert run_cli(["verify", "3color", str(inst), str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not match its own formula" in captured.err

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satkit import cooklevin
 from satkit.cooklevin import (
     BOUNDARY,
     WindowTemplate,
@@ -17,7 +18,14 @@ from satkit.cooklevin import (
 )
 from satkit.errors import BudgetExceededError
 from satkit.oracle import brute_force_sat
-from satkit.turing import BLANK, MachineSpec, build_equality_checker, run_dtm
+from satkit.turing import (
+    BLANK,
+    MachineSpec,
+    build_equality_checker,
+    format_machine,
+    parse_machine,
+    run_dtm,
+)
 from support import (
     blocked_patterns_reference,
     machine_inputs,
@@ -414,3 +422,94 @@ def test_var_map_entries():
     assert kinds == {"state", "symbol", "boundary"}
     back = {(e["row"], e["col"], e["label"], e["kind"]) for e in entries}
     assert (1, 1, "q0", "state") in back
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(cooklevin, "_window_memo", memo)
+    return memo
+
+
+def test_equal_machines_share_window_constraints(fresh_memo):
+    walker = paper_walker_wrapped()
+    text = format_machine(walker)
+    first, second = parse_machine(text), parse_machine(text)
+    reordered = MachineSpec(
+        walker.states,
+        walker.input_alphabet,
+        walker.tape_alphabet,
+        dict(reversed(list(walker.delta.items()))),
+        walker.q0,
+        walker.q_accept,
+        walker.q_reject,
+    )
+    miss, _ = encode(first, "a", 5)
+    for m in (second, reordered):
+        assert encode(m, "a", 5)[0].clauses == miss.clauses
+    assert len(fresh_memo) == 1
+
+
+def test_window_memo_tells_machines_apart(fresh_memo):
+    def variant(move="R", q_accept="acc"):
+        delta = {("q0", "1"): [("acc", "1", move)], ("q0", BLANK): [("rej", BLANK, "R")]}
+        return MachineSpec(
+            {"q0", "acc", "rej", "x"}, {"1"}, {"1", BLANK}, delta, "q0", q_accept, "rej"
+        )
+
+    # one transition differs, or only the accept state does
+    machines = [variant(), variant(move="L"), variant(q_accept="x")]
+    entries = [cooklevin._window_constraints(m) for m in machines]
+    assert len(fresh_memo) == 3
+    patterns = [pats for _, pats in entries]
+    assert len(set(patterns)) == 3
+    # each entry is what an empty memo computes for that machine alone
+    for m, entry in zip(machines, entries):
+        fresh_memo.clear()
+        assert cooklevin._window_constraints(m) == entry
+
+
+def test_window_memo_stays_bounded(fresh_memo):
+    for extra in range(cooklevin._WINDOW_MEMO_SIZE + 3):
+        states = {"q0", "acc", "rej", f"s{extra}"}
+        m = MachineSpec(states, {"1"}, {"1", BLANK}, {}, "q0", "acc", "rej")
+        cooklevin._window_constraints(m)
+    assert len(fresh_memo) == cooklevin._WINDOW_MEMO_SIZE
+
+
+def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo):
+    m = one_step_acceptor()
+    emitted = len(encode(m, "1", 4)[0].clauses)
+    fresh_memo.clear()
+    messages = []
+    for _ in ("miss", "hit"):
+        with pytest.raises(BudgetExceededError) as err:
+            encode(m, "1", 4, max_clauses=emitted - 1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert len(fresh_memo) == 1
+    # the full-mode bound is checked before the memo is consulted
+    fresh_memo.clear()
+    with pytest.raises(BudgetExceededError, match="encoding"):
+        encode(build_equality_checker(), "1#1", 9, windows="full")
+    assert not fresh_memo
+
+
+def test_battery_encodings_same_on_memo_miss_and_hit(fresh_memo):
+    # every combo's compact encoding on an empty memo and again on a warm one;
+    # the full encoding too where it stays under 250k clauses, which is each
+    # machine's smallest combo: a full encoding costs a few tenths of a
+    # second, and it reads only the machine's legal set from the memo
+    for m in tableau_battery():
+        universe = len(m.states) + len(m.tape_alphabet) + 1
+        for w in machine_inputs(m, 2):
+            for p in (len(w) + 3, len(w) + 4):
+                fresh_memo.clear()
+                compact = encode(m, w, p)[0].clauses
+                assert encode(m, w, p)[0].clauses == compact
+                if (p - 1) * (p - 2) * universe**6 > 250_000:
+                    continue
+                fresh_memo.clear()
+                full = encode(m, w, p, windows="full")[0].clauses
+                assert encode(m, w, p, windows="full")[0].clauses == full
+                assert encode(m, w, p)[0].clauses == compact

@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from satkit import reductions
 from satkit.formula import CnfFormula, evaluate
 from satkit.graph import (
     find_clique,
@@ -34,6 +36,16 @@ from satkit.reductions import (
 from support import check_dot, random_3cnf
 
 FIG_EXAMPLE = CnfFormula(3, [(1, 2, 3), (1, -2, 3), (-1, 2, -3)])
+
+
+@st.composite
+def small_3cnf(draw):
+    """3-CNF formulas of width 1-3 (short clauses get padded), repeats allowed,
+    small enough for the graph searches' budgets."""
+    n = draw(st.integers(1, 3))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(literal, min_size=1, max_size=3).map(tuple)
+    return CnfFormula(n, draw(st.lists(clause, min_size=1, max_size=2)))
 
 
 def test_pad_clause():
@@ -246,6 +258,17 @@ def test_hamcycle_strict_full_iff_and_audit():
         assert found == sat
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_3cnf())
+def test_hamcycle_strict_witness_round_trip_property(f):
+    inst = reduce_to_hamcycle(f, strict=True)
+    assert instance_from_json(instance_to_json(inst)).graph == inst.graph
+    cycle = find_hamiltonian_cycle(inst.graph)
+    assert (cycle is not None) == brute_force_sat(f).satisfiable
+    if cycle is not None:
+        assert evaluate(f, hamcycle_witness_to_assignment(inst, cycle)) is True
+
+
 # ---------------------------------------------------------------------------
 # 3-COLOR
 
@@ -331,6 +354,17 @@ def test_3color_rejects_no_variables():
         reduce_to_3color(CnfFormula(0, []))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_3cnf())
+def test_3color_witness_round_trip_property(f):
+    inst = reduce_to_3color(f)
+    assert instance_from_json(instance_to_json(inst)).graph == inst.graph
+    coloring = find_k_coloring(inst.graph, 3)
+    assert (coloring is not None) == brute_force_sat(f).satisfiable
+    if coloring is not None:
+        assert evaluate(f, coloring_witness_to_assignment(inst, coloring)) is True
+
+
 # ---------------------------------------------------------------------------
 # interchange
 
@@ -379,6 +413,32 @@ def test_instance_json_rejects_malformed_shapes(field, value):
     else:
         data[field] = value
     with pytest.raises(ValueError, match="malformed instance file"):
+        instance_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        reduce_to_clique(FIG_EXAMPLE),
+        reduce_to_hamcycle(FIG_EXAMPLE),
+        reduce_to_hamcycle(FIG_EXAMPLE, strict=True),
+        reduce_to_3color(FIG_EXAMPLE),
+    ],
+    ids=["clique", "hamcycle", "hamcycle-strict", "3color"],
+)
+def test_instance_json_checks_size_before_reducing(inst, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the reduction ran on a mis-sized file")
+
+    data = json.loads(instance_to_json(inst))
+    for name in ("reduce_to_clique", "reduce_to_hamcycle", "reduce_to_3color"):
+        monkeypatch.setattr(reductions, name, unexpected)
+    data["vertices"].pop()
+    with pytest.raises(ValueError, match="does not match"):
+        instance_from_json(json.dumps(data))
+    # a tiny file claiming a huge formula is refused without building its graph
+    data["formula"] = {"num_vars": 50_000, "clauses": []}
+    with pytest.raises(ValueError, match="does not match"):
         instance_from_json(json.dumps(data))
 
 
