@@ -4,7 +4,13 @@ Exit codes: 0 = YES/success, 1 = NO (a negative decision, never an error),
 2 = usage or parse error, 3 = search budget or step limit exceeded. Verdicts
 go to stdout; DOT/DIMACS/JSON artifacts are written only under explicit
 flags. ``SATKIT_BUDGET_VARS`` overrides the exhaustive-search variable
-budget.
+budget; it must be a non-negative integer and is read only by the commands
+that search exhaustively.
+
+Each process runs one command, so start-up is most of its cost. Only
+``errors`` and ``formula`` are imported here (every command but ``tm run``
+and ``tm ntm`` needs ``formula``); every other submodule is imported inside
+the command that runs it.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import json
 import os
 import sys
 
-from . import cooklevin, oracle, reductions, tractable, turing
-from .threecnf import to_3cnf
 from .errors import BudgetExceededError
 from .formula import (
     CnfFormula,
@@ -28,14 +32,20 @@ from .formula import (
     parse_dimacs,
     write_dimacs,
 )
-from .graph import to_dot, verify_clique, verify_coloring, verify_hamiltonian_cycle
 
 YES, NO, USAGE_ERROR, BUDGET = 0, 1, 2, 3
 
 
 def _budget() -> int:
+    from .oracle import DEFAULT_MAX_VARS
+
     raw = os.environ.get("SATKIT_BUDGET_VARS")
-    return int(raw) if raw else oracle.DEFAULT_MAX_VARS
+    if not raw:
+        return DEFAULT_MAX_VARS
+    try:
+        return _non_negative(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"SATKIT_BUDGET_VARS: {exc}") from None
 
 
 def _read(path: str) -> str:
@@ -75,6 +85,8 @@ def _cmd_solve(args) -> int:
     if method is None and args.file.endswith(".dnf"):
         method = "dnf"
     if method == "dnf":
+        from . import tractable
+
         result = tractable.solve_dnf(_parse_dnf_file(args.file))
     else:
         f = _parse_cnf_file(args.file)
@@ -85,28 +97,35 @@ def _cmd_solve(args) -> int:
                 method = "horn"
             else:
                 method = "brute"
-        if method == "2sat":
-            result = tractable.solve_2sat(f)
-        elif method == "horn":
-            result = tractable.solve_horn(f)
-        else:
+        if method == "brute":
+            from . import oracle
+
             result = oracle.brute_force_sat(f, max_vars=_budget())
+        else:
+            from . import tractable
+
+            result = tractable.solve_2sat(f) if method == "2sat" else tractable.solve_horn(f)
     print("SAT" if result.satisfiable else "UNSAT")
     _emit_witness(args.witness, result.witness)
     return YES if result.satisfiable else NO
 
 
 def _cmd_maxsat(args) -> int:
+    from . import oracle
+
     f = _parse_cnf_file(args.file)
-    ok = oracle.max_sat_decide(f, args.k, max_vars=_budget())
+    budget = _budget()
+    ok = oracle.max_sat_decide(f, args.k, max_vars=budget)
     print("YES" if ok else "NO")
     if args.witness and ok:
-        _, witness = oracle.max_sat_optimum(f, max_vars=_budget())
+        _, witness = oracle.max_sat_optimum(f, max_vars=budget)
         _emit_witness(args.witness, witness)
     return YES if ok else NO
 
 
 def _cmd_to3cnf(args) -> int:
+    from .threecnf import to_3cnf
+
     f = _parse_cnf_file(args.file)
     result = to_3cnf(f)
     text = write_dimacs(result.formula)
@@ -123,17 +142,17 @@ def tableau_sidecar(spec) -> str:
     return json.dumps({"p": spec.p, "vars": spec.var_map_entries()}, indent=1)
 
 
-def _reduce_instance(kind: str, f: CnfFormula, strict: bool):
-    if kind == "clique":
-        return reductions.reduce_to_clique(f)
-    if kind == "hamcycle":
-        return reductions.reduce_to_hamcycle(f, strict=strict)
-    return reductions.reduce_to_3color(f)
-
-
 def _cmd_reduce(args) -> int:
+    from . import reductions
+    from .graph import to_dot
+
     f = _parse_cnf_file(args.file)
-    inst = _reduce_instance(args.kind, f, args.strict)
+    if args.kind == "clique":
+        inst = reductions.reduce_to_clique(f)
+    elif args.kind == "hamcycle":
+        inst = reductions.reduce_to_hamcycle(f, strict=args.strict)
+    else:
+        inst = reductions.reduce_to_3color(f)
     if args.dot:
         _write(args.dot, to_dot(inst.graph, reductions.dot_styling(inst)))
     if args.json:
@@ -163,21 +182,22 @@ def _load_witness(kind: str, path: str):
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-_INSTANCE_TYPES = {
-    "clique": reductions.CliqueInstance,
-    "hamcycle": reductions.HamCycleInstance,
-    "3color": reductions.ColoringInstance,
-}
-
-
 def _cmd_verify(args) -> int:
     if args.kind == "assignment":
         f = _parse_cnf_file(args.instance)
         witness = _read_json(args.witness, assignment_from_json)
         ok = evaluate(f, witness) is True
     else:
+        from . import reductions
+        from .graph import verify_clique, verify_coloring, verify_hamiltonian_cycle
+
+        instance_types = {
+            "clique": reductions.CliqueInstance,
+            "hamcycle": reductions.HamCycleInstance,
+            "3color": reductions.ColoringInstance,
+        }
         inst = _read_json(args.instance, reductions.instance_from_json)
-        if not isinstance(inst, _INSTANCE_TYPES[args.kind]):
+        if not isinstance(inst, instance_types[args.kind]):
             raise ValueError(f"{args.instance} does not hold a {args.kind} instance")
         witness = _load_witness(args.kind, args.witness)
         if args.kind == "clique":
@@ -191,6 +211,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from . import reductions
+
     inst = _read_json(args.instance, reductions.instance_from_json)
     if isinstance(inst, reductions.CliqueInstance):
         witness = _load_witness("clique", args.witness)
@@ -214,6 +236,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_tm_run(args) -> int:
+    from . import turing
+
     m = turing.parse_machine(_read(args.machine))
     outcome = turing.run_dtm(m, args.input, args.limit, collect_trace=args.trace)
     if args.trace:
@@ -230,6 +254,8 @@ def _cmd_tm_run(args) -> int:
 
 
 def _cmd_tm_ntm(args) -> int:
+    from . import turing
+
     m = turing.parse_machine(_read(args.machine))
     outcome, choices = turing.run_ntm(m, args.input, args.depth)
     if outcome.verdict == "accept":
@@ -244,6 +270,8 @@ def _cmd_tm_ntm(args) -> int:
 
 
 def _cmd_cooklevin(args) -> int:
+    from . import cooklevin, turing
+
     m = turing.parse_machine(_read(args.machine))
     formula, spec = cooklevin.encode(m, args.input, args.steps)
     if args.out:

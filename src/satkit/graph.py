@@ -164,8 +164,7 @@ def is_bipartite(g: Graph) -> Coloring | None:
             continue
         color[start] = 0
         queue = [start]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # appending while iterating walks the list as a FIFO queue
             for v in adj[u]:
                 if v not in color:
                     color[v] = 1 - color[u]

@@ -88,6 +88,28 @@ def scc_by_closure(vertices, edges):
     return set(parts)
 
 
+def is_bipartite_reference(g):
+    """The BFS 2-coloring that ``graph.is_bipartite`` must reproduce, dict
+    order included: roots in vertex order get color 0, and the queue is a
+    list popped from the front."""
+    adj = g.adjacency()
+    color = {}
+    for start in g.vertices:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color
+
+
 def bfs_ntm_accepts(m: MachineSpec, input_symbols, depth_limit: int) -> bool:
     """Breadth-first search over the configuration graph, the independent
     check for run_ntm."""

@@ -105,6 +105,23 @@ def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     assert run_cli(["solve", "--method", "brute", str(path)]) == 3
 
 
+@pytest.mark.parametrize("raw", ["-1", "abc"])
+def test_invalid_budget_is_usage_error(raw, cnf31, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SATKIT_BUDGET_VARS", raw)
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 3 1\n1 2 3 0\n")
+    for argv in (["solve", "--method", "brute", str(path)], ["maxsat", "--k", "1", str(path)]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: SATKIT_BUDGET_VARS: expected a non-negative integer, got {raw!r}\n"
+        )
+    # A command that runs no exhaustive search does not read the variable.
+    assert run_cli(["solve", cnf31]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
 def test_maxsat(cnf33, capsys):
     assert run_cli(["maxsat", "--k", "4", cnf33]) == 1
     assert capsys.readouterr().out == "NO\n"

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satkit.errors import BudgetExceededError
 from satkit.graph import (
@@ -18,7 +19,7 @@ from satkit.graph import (
     verify_coloring,
     verify_hamiltonian_cycle,
 )
-from support import check_dot, scc_by_closure
+from support import check_dot, is_bipartite_reference, scc_by_closure
 
 
 def test_graph_validation():
@@ -129,6 +130,33 @@ def test_bipartite_agrees_with_two_coloring_search():
         if two is not None:
             shifted = {v: c + 1 for v, c in two.items()}
             assert verify_coloring(g, shifted, 2)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    vs = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(vs, 2))
+    return Graph(vs, draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_bipartite_matches_reference(g):
+    got, want = is_bipartite(g), is_bipartite_reference(g)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
+def test_bipartite_large_star_and_path():
+    n = 200_000
+    leaves = [f"v{i}" for i in range(1, n)]
+    star = is_bipartite(Graph(["v0", *leaves], [("v0", v) for v in leaves]))
+    assert star == {"v0": 0, **dict.fromkeys(leaves, 1)}
+    vs = [f"v{i}" for i in range(n)]
+    path = is_bipartite(Graph(vs, zip(vs, vs[1:])))
+    assert path == {v: i % 2 for i, v in enumerate(vs)}
 
 
 def _k(n):
