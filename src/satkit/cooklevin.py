@@ -37,7 +37,7 @@ column, so runs needing more than p-3 cells have no satisfying tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -66,7 +66,17 @@ class WindowTemplate(NamedTuple):
 
 
 def legal_windows(m: MachineSpec) -> set[WindowTemplate]:
-    """All 2x3 window contents consistent with some legal row transition."""
+    """All 2x3 window contents consistent with some legal row transition.
+
+    The windows depend on the machine alone, so they are served from the
+    bounded per-machine memo of :func:`_window_constraints`; each call
+    returns a fresh set, which the caller may change freely.
+    """
+    return set(_window_constraints(m)[0])
+
+
+def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
+    # Uncached generation; _window_constraints runs it once per machine.
     gam = [tape_symbol(s) for s in sorted(m.tape_alphabet)]
     ctx = gam + [BOUNDARY]
     legal: set[WindowTemplate] = set()
@@ -263,13 +273,15 @@ _window_memo: dict = {}
 
 
 def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
-    """Legal windows and minimal blocked patterns of ``m`` as window offsets.
+    """Legal windows and minimal blocked patterns of ``m``.
 
     Both depend on the machine alone, not on the input or p, so they are
-    computed once per machine content and kept in a bounded memo. The key is
-    the machine's full content, so separately built equal machines share an
-    entry. Windows are 6-tuples over :func:`_window_domains`; patterns are
-    the value tuples of :func:`blocked_patterns` over the same domains.
+    computed once per machine content and kept in a bounded memo; this memo
+    is the only place :func:`legal_windows` and :func:`encode` get them
+    from. The key is the machine's full content, so separately built equal
+    machines share an entry. The windows are a frozenset of
+    :class:`WindowTemplate`; the patterns are the value tuples of
+    :func:`blocked_patterns` over :func:`_window_domains`, as window offsets.
     """
     key = (
         m.states,
@@ -282,18 +294,24 @@ def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
     )
     got = _window_memo.get(key)
     if got is None:
+        windows = frozenset(_legal_windows(m))
         symbols = _tableau_symbols(m)
         msz = len(symbols)
-        index = {s: i for i, s in enumerate(symbols)}
-        legal = frozenset(
-            tuple(c * msz + index[s] for c, s in enumerate(w.top + w.bottom))
-            for w in legal_windows(m)
-        )
+        legal = _window_offsets(windows, symbols)
         patterns = tuple(vals for _, vals in blocked_patterns(legal, _window_domains(msz)))
         if len(_window_memo) >= _WINDOW_MEMO_SIZE:
             _window_memo.pop(next(iter(_window_memo)), None)
-        got = _window_memo[key] = (legal, patterns)
+        got = _window_memo[key] = (windows, patterns)
     return got
+
+
+def _window_offsets(windows, symbols) -> frozenset:
+    # Each window as the 6-tuple of its cells' offsets (see _window_domains).
+    msz = len(symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    return frozenset(
+        tuple(c * msz + index[s] for c, s in enumerate(w.top + w.bottom)) for w in windows
+    )
 
 
 def encode(
@@ -324,9 +342,10 @@ def encode(
     Encodings over the budget are refused, never truncated.
 
     The legal windows and the blocked patterns depend on the machine alone.
-    They are computed once per machine content, over symbol indices, and
-    reused across inputs and values of p; each call only picks their
-    literals out of each window position's cells.
+    They are computed once per machine content and reused across inputs and
+    values of p (see :func:`_window_constraints`). The compact mode only
+    picks each pattern's literals out of each window position's cells; the
+    full mode writes the legal windows over symbol indices on each call.
     """
     if windows not in ("compact", "full"):
         raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")
@@ -347,7 +366,7 @@ def encode(
                 f"about {move_clause_bound:,} move clauses exceed the encoding "
                 f"budget of {max_clauses:,}; shrink the machine or p"
             )
-        legal, _ = _window_constraints(m)
+        legal = _window_offsets(_window_constraints(m)[0], spec.symbols)
         patterns = [w for w in product(*_window_domains(msz)) if w not in legal]
     else:
         _, patterns = _window_constraints(m)
@@ -364,13 +383,10 @@ def encode(
     pos = list(range(spec.num_vars + 1))
     neg = [-v for v in range(spec.num_vars + 1)]
 
-    for row in range(1, p + 1):
-        for col in range(1, p + 1):
-            base = spec.cell_base(row, col)
-            clauses.append(tuple(pos[base + s] for s in range(1, msz + 1)))
-            for s in range(1, msz + 1):
-                for t in range(s + 1, msz + 1):
-                    clauses.append((neg[base + s], neg[base + t]))
+    # Cell by cell: at least one symbol, then every pair excluded.
+    for first in range(1, spec.num_vars + 1, msz):
+        clauses.append(tuple(pos[first : first + msz]))
+        clauses.extend(combinations(neg[first : first + msz], 2))
 
     row1 = (
         [BOUNDARY, state_symbol(m.q0)]
@@ -381,27 +397,26 @@ def encode(
     for col, sym in enumerate(row1, start=1):
         clauses.append((pos[spec.var(1, col, sym)],))
 
-    accept = state_symbol(m.q_accept)
-    clauses.append(
-        tuple(
-            pos[spec.var(row, col, accept)]
-            for row in range(1, p + 1)
-            for col in range(1, p + 1)
-        )
-    )
+    # The accept state's variable in every cell, cell by cell.
+    clauses.append(tuple(pos[spec.var(1, 1, state_symbol(m.q_accept)) :: msz]))
 
-    # Each pattern's getter picks its clause out of the negated literals of a
-    # window's top row cells followed by its bottom row cells.
-    getters = [
-        itemgetter(*offs) if len(offs) > 1 else _single_getter(offs[0]) for offs in patterns
-    ]
+    # Patterns come in runs of one length (the compact ones by size). Each
+    # run's getter picks the literals of all its clauses, as one flat tuple,
+    # out of the negated literals of a window's top row cells followed by its
+    # bottom row cells; zip cuts the tuple back into clauses.
+    runs = []
+    for width, run in groupby(patterns, key=len):
+        offsets = list(chain.from_iterable(run))
+        get = itemgetter(*offsets) if len(offsets) > 1 else _single_getter(offsets[0])
+        runs.append((width, get))
     span = 3 * msz
     for row in range(1, p):
         for col in range(1, p - 1):
             top = spec.cell_base(row, col) + 1
-            bottom = spec.cell_base(row + 1, col) + 1
+            bottom = top + p * msz
             window = neg[top : top + span] + neg[bottom : bottom + span]
-            clauses.extend([get(window) for get in getters])
+            for width, get in runs:
+                clauses.extend(zip(*[iter(get(window))] * width))
 
     return CnfFormula._trusted(spec.num_vars, tuple(clauses)), spec
 

@@ -51,10 +51,13 @@ class Graph:
         return tuple(sorted((u, v))) in self.edges
 
     def adjacency(self) -> dict[str, list[str]]:
+        """Each vertex's neighbours in sorted order, keyed in vertex order."""
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
+        for nbrs in adj.values():
+            nbrs.sort()
         return adj
 
 
@@ -74,9 +77,12 @@ class Digraph:
         return (u, v) in self.edges
 
     def successors(self) -> dict[str, list[str]]:
+        """Each vertex's successors in sorted order, keyed in vertex order."""
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             adj[u].append(v)
+        for succ in adj.values():
+            succ.sort()
         return adj
 
 

@@ -10,6 +10,7 @@ import itertools
 import random
 import re
 
+from satkit.cooklevin import BOUNDARY, WindowTemplate, state_symbol, tape_symbol
 from satkit.formula import CnfFormula, DnfFormula, count_satisfied
 from satkit.turing import (
     BLANK,
@@ -86,6 +87,24 @@ def scc_by_closure(vertices, edges):
         seen |= part
         parts.append(part)
     return set(parts)
+
+
+def adjacency_reference(g):
+    """``Graph.adjacency`` as first written: one pass over the sorted edge
+    set, endpoints stored sorted, so each list comes out in sorted order."""
+    adj = {v: [] for v in g.vertices}
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def successors_reference(g):
+    """``Digraph.successors`` as first written, over the sorted edge set."""
+    adj = {v: [] for v in g.vertices}
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+    return adj
 
 
 def is_bipartite_reference(g):
@@ -251,6 +270,74 @@ def blocked_patterns_reference(legal, domains):
                     ):
                         patterns.append((cells, cand))
     return patterns
+
+
+def legal_windows_reference(m: MachineSpec) -> set[WindowTemplate]:
+    """``cooklevin.legal_windows`` without the memo: the generator as it
+    stood before the per-machine memo served it, rebuilt on every call."""
+    gam = [tape_symbol(s) for s in sorted(m.tape_alphabet)]
+    ctx = gam + [BOUNDARY]
+    legal: set[WindowTemplate] = set()
+
+    def add(top, bottom) -> None:
+        # A boundary can never sit mid-window in a real tableau; keeping
+        # such windows illegal is what pins # to the border columns.
+        if top[1] == BOUNDARY or bottom[1] == BOUNDARY:
+            return
+        legal.add(WindowTemplate(tuple(top), tuple(bottom)))
+
+    # Content far from the head is copied verbatim.
+    for t1 in ctx:
+        for t2 in gam:
+            for t3 in ctx:
+                add((t1, t2, t3), (t1, t2, t3))
+
+    # Halted configurations repeat verbatim; the head may be parked facing
+    # the right boundary after a final right move.
+    for halted in (m.q_accept, m.q_reject):
+        q = state_symbol(halted)
+        for a in ctx:
+            for w in ctx:
+                add((w, q, a), (w, q, a))
+            for y in ctx:
+                add((q, a, y), (q, a, y))
+        for v in ctx:
+            for w in gam:
+                add((v, w, q), (v, w, q))
+
+    # Windows overlapping a transition's neighbourhood. The strip spans
+    # relative cells -3..+3 around the state cell (rel 0, head symbol at
+    # rel +1); cells outside rel -1..+1 are hidden context.
+    for state in sorted(m.states):
+        if m.is_halting(state):
+            continue
+        for sym in sorted(m.tape_alphabet):
+            q, a = state_symbol(state), tape_symbol(sym)
+            for target, written, direction in m.options(state, sym):
+                r, b = state_symbol(target), tape_symbol(written)
+                situations = []
+                if direction == "R":
+                    for x in ctx:
+                        situations.append(((x, q, a), (x, b, r), range(-3, 2)))
+                else:
+                    for x in gam:
+                        situations.append(((x, q, a), (r, x, b), range(-3, 2)))
+                    # At the left edge the head stays put.
+                    situations.append(
+                        ((BOUNDARY, q, a), (BOUNDARY, r, b), range(-1, 2))
+                    )
+                for top3, bot3, offsets in situations:
+                    for off in offsets:
+                        rels = range(off, off + 3)
+                        free = [idx for idx, rel in enumerate(rels) if not -1 <= rel <= 1]
+                        top = [None if idx in free else top3[rel + 1] for idx, rel in enumerate(rels)]
+                        bottom = [None if idx in free else bot3[rel + 1] for idx, rel in enumerate(rels)]
+                        for combo in itertools.product(ctx, repeat=len(free)):
+                            for idx, val in zip(free, combo):
+                                top[idx] = val
+                                bottom[idx] = val
+                            add(top, bottom)
+    return legal
 
 
 def one_step_acceptor() -> MachineSpec:

@@ -28,6 +28,7 @@ from satkit.turing import (
 )
 from support import (
     blocked_patterns_reference,
+    legal_windows_reference,
     machine_inputs,
     one_step_acceptor,
     paper_walker_wrapped,
@@ -513,3 +514,48 @@ def test_battery_encodings_same_on_memo_miss_and_hit(fresh_memo):
                 full = encode(m, w, p, windows="full")[0].clauses
                 assert encode(m, w, p, windows="full")[0].clauses == full
                 assert encode(m, w, p)[0].clauses == compact
+
+
+@pytest.mark.parametrize("machine", [*tableau_battery(), build_equality_checker()])
+def test_legal_windows_match_uncached_reference(machine, fresh_memo):
+    expected = legal_windows_reference(machine)
+    for _ in ("miss", "hit"):
+        got = legal_windows(machine)
+        assert type(got) is set
+        assert got == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tiny_machines())
+def test_legal_windows_match_uncached_reference_on_random_machines(m):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cooklevin, "_window_memo", {})
+        expected = legal_windows_reference(m)
+        assert legal_windows(m) == expected
+        assert legal_windows(m) == expected
+
+
+def test_mutating_legal_windows_leaves_the_memo_alone(fresh_memo):
+    m = one_step_acceptor()
+    compact = encode(m, "1", 4)[0].clauses
+    full = encode(m, "", 3, windows="full")[0].clauses
+    expected = legal_windows_reference(m)
+    got = legal_windows(m)
+    assert got is not legal_windows(m)
+    got.pop()
+    got.add(WindowTemplate((BOUNDARY,) * 3, (BOUNDARY,) * 3))
+    legal_windows(m).clear()
+    assert legal_windows(m) == expected
+    assert encode(m, "1", 4)[0].clauses == compact
+    assert encode(m, "", 3, windows="full")[0].clauses == full
+
+
+def test_legal_windows_fills_the_memo_encode_reads(fresh_memo):
+    m = one_step_acceptor()
+    legal_windows(m)
+    assert len(fresh_memo) == 1
+    entry = next(iter(fresh_memo.values()))
+    encode(m, "1", 4)
+    encode(m, "", 3, windows="full")
+    assert len(fresh_memo) == 1
+    assert next(iter(fresh_memo.values())) is entry

@@ -19,7 +19,15 @@ from satkit.graph import (
     verify_coloring,
     verify_hamiltonian_cycle,
 )
-from support import check_dot, is_bipartite_reference, scc_by_closure
+from satkit.reductions import reduce_to_3color, reduce_to_clique, reduce_to_hamcycle
+from support import (
+    adjacency_reference,
+    check_dot,
+    is_bipartite_reference,
+    random_3cnf,
+    scc_by_closure,
+    successors_reference,
+)
 
 
 def test_graph_validation():
@@ -147,6 +155,36 @@ def test_bipartite_matches_reference(g):
     assert got == want
     if got is not None:
         assert list(got.items()) == list(want.items())
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 9))
+    vs = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.permutations(vs, 2))
+    return Digraph(vs, draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else [])
+
+
+def _same_lists(got, want):
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_graphs(), small_digraphs())
+def test_neighbour_lists_match_sorted_edge_reference(g, d):
+    _same_lists(g.adjacency(), adjacency_reference(g))
+    _same_lists(d.successors(), successors_reference(d))
+
+
+def test_neighbour_lists_match_reference_on_reduction_graphs():
+    rng = random.Random(10)
+    for n, m in [(3, 2), (4, 5), (6, 9), (9, 14)]:
+        f = random_3cnf(rng, n, m)
+        for g in (reduce_to_clique(f).graph, reduce_to_3color(f).graph):
+            _same_lists(g.adjacency(), adjacency_reference(g))
+        for strict in (False, True):
+            d = reduce_to_hamcycle(f, strict=strict).graph
+            _same_lists(d.successors(), successors_reference(d))
 
 
 def test_bipartite_large_star_and_path():
