@@ -115,10 +115,15 @@ def _cmd_maxsat(args) -> int:
 
     f = _parse_cnf_file(args.file)
     budget = _budget()
-    ok = oracle.max_sat_decide(f, args.k, max_vars=budget)
+    # One search, finished before anything is printed, serves the verdict
+    # and the witness; k = 0 without a witness needs no search at all.
+    if args.witness and args.k >= 0:
+        optimum, witness = oracle.max_sat_optimum(f, max_vars=budget)
+        ok = optimum >= args.k
+    else:
+        ok, witness = oracle.max_sat_decide(f, args.k, max_vars=budget), None
     print("YES" if ok else "NO")
-    if args.witness and ok:
-        _, witness = oracle.max_sat_optimum(f, max_vars=budget)
+    if ok:
         _emit_witness(args.witness, witness)
     return YES if ok else NO
 

@@ -149,7 +149,7 @@ def write_dimacs(f: CnfFormula) -> str:
     """Serialize to DIMACS text; inverse of :func:`parse_dimacs`."""
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for clause in f.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + (" 0" if clause else "0"))
+        lines.append(" ".join(map(str, clause)) + (" 0" if clause else "0"))
     return "\n".join(lines) + "\n"
 
 

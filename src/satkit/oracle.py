@@ -7,6 +7,17 @@ counts the clauses each path has falsified, and skips a subtree once that
 count reaches the best total so far (one, for SAT), which cannot change the
 outcome or the first witness found. That keeps tableau encodings with a few
 hundred variables checkable while staying auditable.
+
+The walk files each clause under its last literal and checks it when the
+path makes that literal false. Variables the path has not reached are
+unset, and a check that meets one before a true literal shows that the
+clause reaches above the current variable; its bucket is then refiled under
+the losing literal of each clause's highest variable, and the node is
+checked again. This is sound: where the filing literal is true the clause
+is satisfied, and where it is false the clause is checked, so it is either
+satisfied by a literal that stays set in the whole subtree or moved higher
+before the walk goes below. Encoders that end each clause with its
+highest-variable literal (as ``cooklevin.encode`` does) never pay a refile.
 """
 
 from __future__ import annotations
@@ -35,33 +46,60 @@ def _check_budget(f: CnfFormula, max_vars: int) -> None:
         )
 
 
+class _Unreached(Exception):
+    """A clause check met a variable the current path has not set."""
+
+
+class _Unset:
+    """Value of a variable the current path has not set; testing it raises."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        raise _Unreached
+
+
+_UNSET = _Unset()
+
+
+def _refile(on_false, on_true, bucket: list) -> None:
+    """Move each clause of ``bucket`` to the losing literal of its highest variable.
+
+    A clause holding both polarities of that variable can never be falsified
+    and is dropped.
+    """
+    clauses = bucket.copy()
+    bucket.clear()
+    for clause, hi, lo in zip(clauses, map(max, clauses), map(min, clauses)):
+        v = hi if hi > -lo else -lo
+        if hi == v and lo == -v:
+            continue
+        (on_false if hi == v else on_true)[v].append(clause)
+
+
 def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
     """Fewest clauses a total assignment falsifies, and the first one that does.
 
     ``(ceiling, None)`` if none falsifies fewer than ``ceiling``; 0 ends the walk.
     """
     n = f.num_vars
-    # A clause can only become falsified at the moment its highest variable
-    # is assigned, and only if that variable's literal there has the losing
-    # polarity. Bucket clauses accordingly so each branch looks at a clause
-    # at most once; clauses containing both v and -v can never falsify.
-    check_on_false: list[list] = [[] for _ in range(n + 1)]
-    check_on_true: list[list] = [[] for _ in range(n + 1)]
     clauses = f.clauses
     empty = clauses.count(())
-    if empty:  # max() and min() refuse an empty clause
-        clauses = [clause for clause in clauses if clause]
-    for clause, hi, lo in zip(clauses, map(max, clauses), map(min, clauses)):
-        v = hi if hi > -lo else -lo
-        if hi == v and lo == -v:
-            continue
-        (check_on_false if hi == v else check_on_true)[v].append(clause)
     if n == 0:
         return (empty, {}) if empty < ceiling else (ceiling, None)
+    if empty:  # an empty clause has no last literal
+        clauses = [clause for clause in clauses if clause]
+    # bucket[n + lit]: the clauses checked when lit is set false. on_false[v]
+    # and on_true[v] are the same lists, checked when v is set false / true.
+    bucket = [[] for _ in range(2 * n + 1)]
+    for clause in clauses:
+        bucket[n + clause[-1]].append(clause)
+    on_false = bucket[n:]
+    on_true = bucket[n::-1]
 
     # falsified[v]: clauses this path falsifies before variable v is set
     falsified = [empty] * (n + 2)
-    value = [False] * (n + 1)
+    value = [_UNSET] * (n + 1)
     state = [0] * (n + 2)  # 0: try false next, 1: try true next, 2: exhausted
     best, witness = ceiling, None
     v = 1
@@ -69,19 +107,27 @@ def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
         s = state[v]
         if s == 2:
             state[v] = 0
+            value[v] = _UNSET
             v -= 1
             continue
         state[v] = s + 1
         value[v] = s == 1
         got = falsified[v]
-        for clause in check_on_true[v] if s else check_on_false[v]:
-            for lit in clause:
-                if value[lit] if lit > 0 else not value[-lit]:
-                    break
-            else:
-                got += 1
-                if got >= best:
-                    break
+        checks = on_true[v] if s else on_false[v]
+        try:
+            for clause in checks:
+                for lit in clause:
+                    if value[lit] if lit > 0 else not value[-lit]:
+                        break
+                else:
+                    got += 1
+                    if got >= best:
+                        break
+        except _Unreached:
+            # A clause here reaches above v: refile the bucket and check v again.
+            _refile(on_false, on_true, checks)
+            state[v] = s
+            continue
         # Ties prune too, so the first optimal assignment stays the witness.
         if got >= best:
             continue

@@ -171,6 +171,76 @@ def max_sat_optimum_reference(f: CnfFormula):
     return best, best_assignment
 
 
+def walk_reference(f: CnfFormula, ceiling: int):
+    """``oracle._walk`` before it filed clauses under their last literal.
+
+    Kept as its reference: every clause is bucketed up front by its highest
+    variable (one ``max`` and one ``min`` per clause) and the walk never meets
+    an unset variable.
+    """
+    n = f.num_vars
+    # A clause can only become falsified at the moment its highest variable
+    # is assigned, and only if that variable's literal there has the losing
+    # polarity. Bucket clauses accordingly so each branch looks at a clause
+    # at most once; clauses containing both v and -v can never falsify.
+    check_on_false: list[list] = [[] for _ in range(n + 1)]
+    check_on_true: list[list] = [[] for _ in range(n + 1)]
+    clauses = f.clauses
+    empty = clauses.count(())
+    if empty:  # max() and min() refuse an empty clause
+        clauses = [clause for clause in clauses if clause]
+    for clause, hi, lo in zip(clauses, map(max, clauses), map(min, clauses)):
+        v = hi if hi > -lo else -lo
+        if hi == v and lo == -v:
+            continue
+        (check_on_false if hi == v else check_on_true)[v].append(clause)
+    if n == 0:
+        return (empty, {}) if empty < ceiling else (ceiling, None)
+
+    # falsified[v]: clauses this path falsifies before variable v is set
+    falsified = [empty] * (n + 2)
+    value = [False] * (n + 1)
+    state = [0] * (n + 2)  # 0: try false next, 1: try true next, 2: exhausted
+    best, witness = ceiling, None
+    v = 1
+    while v >= 1:
+        s = state[v]
+        if s == 2:
+            state[v] = 0
+            v -= 1
+            continue
+        state[v] = s + 1
+        value[v] = s == 1
+        got = falsified[v]
+        for clause in check_on_true[v] if s else check_on_false[v]:
+            for lit in clause:
+                if value[lit] if lit > 0 else not value[-lit]:
+                    break
+            else:
+                got += 1
+                if got >= best:
+                    break
+        # Ties prune too, so the first optimal assignment stays the witness.
+        if got >= best:
+            continue
+        if v < n:
+            v += 1
+            falsified[v] = got
+            continue
+        best, witness = got, {i: value[i] for i in range(1, n + 1)}
+        if not got:
+            break
+    return best, witness
+
+
+def write_dimacs_reference(f: CnfFormula) -> str:
+    """``formula.write_dimacs`` with its per-literal generator, kept as its reference."""
+    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
+    for clause in f.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + (" 0" if clause else "0"))
+    return "\n".join(lines) + "\n"
+
+
 def run_ntm_reference(m: MachineSpec, input_symbols, depth_limit: int):
     """NTM search by replaying every choice string from the start.
 

@@ -129,6 +129,50 @@ def test_maxsat(cnf33, capsys):
     assert capsys.readouterr().out == "YES\n"
 
 
+
+def test_maxsat_witness_searches_once(cnf33, tmp_path, monkeypatch, capsys):
+    from satkit import oracle
+
+    _, witness = oracle.max_sat_optimum(parse_dimacs(EXAMPLE_33))
+    calls = []
+    walk = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda *args: calls.append(1) or walk(*args))
+    for k, code, out in ((3, 0, "YES\n"), (4, 1, "NO\n"), (0, 0, "YES\n")):
+        path = tmp_path / f"w{k}.json"
+        assert run_cli(["maxsat", "--k", str(k), "--witness", str(path), cnf33]) == code
+        assert capsys.readouterr().out == out
+        assert len(calls) == 1
+        calls.clear()
+        if code == 0:
+            assert assignment_from_json(path.read_text()) == witness
+        else:
+            assert not path.exists()
+    # k = 0 without a witness needs no search
+    assert run_cli(["maxsat", "--k", "0", cnf33]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert calls == []
+
+
+def test_maxsat_over_budget_prints_nothing(tmp_path, monkeypatch, capsys):
+    # a 30-variable file is over the default budget of 24
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 30 2\n1 30 0\n-1 0\n")
+    witness = tmp_path / "w.json"
+    for k in ("0", "1"):
+        assert run_cli(["maxsat", "--k", k, "--witness", str(witness), str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in captured.err
+        assert not witness.exists()
+    assert run_cli(["maxsat", "--k", "0", str(path)]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    for argv in (["--k", "-1"], ["--k", "-1", "--witness", str(witness)]):
+        assert run_cli(["maxsat", *argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be non-negative\n"
+        assert not witness.exists()
+
 def test_to3cnf(tmp_path, cnf31, capsys):
     out = tmp_path / "three.cnf"
     assert run_cli(["to3cnf", cnf31, "--out", str(out)]) == 0

@@ -20,7 +20,7 @@ from satkit.formula import (
     parse_dimacs,
     write_dimacs,
 )
-from support import all_assignments, negate_cnf_to_dnf, random_cnf
+from support import all_assignments, negate_cnf_to_dnf, random_cnf, write_dimacs_reference
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
 EXAMPLE_33 = CnfFormula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
@@ -99,6 +99,13 @@ def test_dimacs_round_trip_property(f):
     # empty clauses, repeated literals and clause-free formulas included
     assert parse_dimacs(write_dimacs(f)) == f
 
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cnf_formulas(max_vars=120))
+def test_write_dimacs_matches_generator_form(f):
+    # multi-digit literals, empty clauses and clause-free formulas included
+    assert write_dimacs(f) == write_dimacs_reference(f)
 
 def test_write_empty():
     assert write_dimacs(CnfFormula(0, [])) == "p cnf 0 0\n"

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satkit import oracle
+from satkit.cooklevin import encode
 from satkit.errors import BudgetExceededError
 from satkit.formula import CnfFormula, evaluate, parse_dimacs
 from satkit.oracle import (
@@ -12,7 +14,19 @@ from satkit.oracle import (
     max_sat_decide,
     max_sat_optimum,
 )
-from support import first_satisfying, max_sat_optimum_reference, random_cnf, random_3cnf
+from support import (
+    branching_acceptor,
+    edge_bouncer,
+    first_satisfying,
+    max_sat_optimum_reference,
+    one_step_acceptor,
+    paper_walker_wrapped,
+    prefix_11_acceptor,
+    random_3cnf,
+    random_cnf,
+    right_drifter,
+    walk_reference,
+)
 
 EXAMPLE_31 = parse_dimacs("p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n")
 EXAMPLE_33 = CnfFormula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
@@ -145,3 +159,104 @@ def test_max_sat_optimum_at_twenty_variables():
     assert best_g < len(g.clauses) and best_h < len(h.clauses)
     witness = {**witness_g, **{v + 10: b for v, b in witness_h.items()}}
     assert max_sat_optimum(f) == (best_g + best_h, witness)
+
+
+def _shuffled_cnf(rng, n):
+    """A CNF with every clause shape the walk's filing must survive.
+
+    Clause literals come in random order (so the last literal is often not
+    the highest variable) or sorted by variable with a few clauses left
+    unsorted; repeated literals, tautologies, duplicate clauses and empty
+    clauses all occur.
+    """
+    lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+    clauses = []
+    for _ in range(rng.randint(0, 5 * n + 3)):
+        r = rng.random()
+        if r < 0.01 or not n:
+            clause = []
+        elif r < 0.15 and clauses:
+            clause = list(rng.choice(clauses))
+        else:
+            clause = [rng.choice(lits) for _ in range(rng.randint(1, 4))]
+            if r < 0.25:
+                v = rng.randint(1, n)
+                clause += [v, -v]
+            if r < 0.35:
+                clause.append(rng.choice(clause))
+            rng.shuffle(clause)
+        clauses.append(tuple(clause))
+    if rng.random() < 0.5:
+        clauses = [
+            c if rng.random() < 0.1 else tuple(sorted(c, key=abs)) for c in clauses
+        ]
+    return CnfFormula(n, clauses)
+
+
+@pytest.fixture
+def refiles(monkeypatch):
+    """Sizes of the buckets ``oracle._walk`` refiles, in order."""
+    sizes = []
+    refile = oracle._refile
+    monkeypatch.setattr(oracle, "_refile", lambda *args: sizes.append(len(args[2])) or refile(*args))
+    return sizes
+
+
+def test_walk_matches_reference_with_refiles(refiles):
+    rng = random.Random(1214)
+    for _ in range(1000):
+        f = _shuffled_cnf(rng, rng.choice((0, 1, 2, 3, 5, 8, 11, 14)))
+        for ceiling in (1, 2, len(f.clauses) + 1):
+            assert oracle._walk(f, ceiling) == walk_reference(f, ceiling), (f, ceiling)
+    # the refile path ran, on buckets of one clause and of several
+    assert len(refiles) > 100
+    assert min(refiles) == 1 and max(refiles) > 3
+
+
+def test_clause_filed_under_negative_literal_reaching_above(refiles):
+    # (3, -1) sits under -1, so it is first checked when 1 turns true, after
+    # the whole 1 = false subtree; it must move to 3 before the walk goes on.
+    f = CnfFormula(3, [(1,), (3, -1), (2,)])
+    assert oracle._walk(f, 1) == walk_reference(f, 1) == (0, {1: True, 2: True, 3: True})
+    assert refiles == [1]
+    assert brute_force_sat(f).witness == first_satisfying(f)
+    assert max_sat_optimum(f) == max_sat_optimum_reference(f) == (3, first_satisfying(f))
+
+
+def test_misplaced_clause_repeated_three_times_under_max_sat(refiles):
+    # Losing any copy of (2, -1) ties 1=T,2=F with the optimum 1=T,2=T and
+    # makes the earlier assignment the witness.
+    f = CnfFormula(2, [(2, -1)] * 3 + [(1,)] * 3 + [(-2,)] * 2)
+    assert oracle._walk(f, 9) == walk_reference(f, 9) == (2, {1: True, 2: True})
+    assert refiles == [3]
+    assert max_sat_optimum(f) == max_sat_optimum_reference(f) == (6, {1: True, 2: True})
+
+
+def test_misplaced_tautology_is_dropped(refiles):
+    # (3, -3, 1) sits under 1 and meets unset 3 when 1 turns false; refiling
+    # drops it, since no assignment falsifies it.
+    f = CnfFormula(3, [(3, -3, 1), (-1,), (2, -3), (-2,)])
+    assert oracle._walk(f, 1) == walk_reference(f, 1) == (0, {1: False, 2: False, 3: False})
+    assert refiles == [1]
+    assert max_sat_optimum(f) == max_sat_optimum_reference(f)
+
+
+# the satbench `tableau` instances: (machine, input, p)
+TABLEAU_INSTANCES = [
+    (branching_acceptor, "1", 4),
+    (one_step_acceptor, "11", 5),
+    (branching_acceptor, "11", 5),
+    (right_drifter, "1", 4),
+    (one_step_acceptor, "1", 5),
+    (right_drifter, "", 4),
+    (prefix_11_acceptor, "", 3),
+    (edge_bouncer, "1", 4),
+    (paper_walker_wrapped, "a", 5),
+]
+
+
+@pytest.mark.parametrize("machine, word, p", TABLEAU_INSTANCES)
+def test_walk_matches_reference_on_tableau_encodings(machine, word, p):
+    f, _ = encode(machine(), word, p)
+    for ceiling in (1, 2):
+        assert oracle._walk(f, ceiling) == walk_reference(f, ceiling)
