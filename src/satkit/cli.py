@@ -170,21 +170,35 @@ def _cmd_reduce(args) -> int:
     return YES
 
 
-def _load_witness(kind: str, path: str):
-    data = _read_json(path)
-    try:
-        if kind == "clique":
-            return set(data["vertices"])
-        if kind == "hamcycle":
-            cycle = list(data["cycle"])
-            if not all(isinstance(v, str) for v in cycle):
-                raise ValueError("malformed hamcycle witness file: cycle entries must be strings")
-            return cycle
-        if kind == "3color":
-            return {str(k): int(v) for k, v in data["coloring"].items()}
-    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
-        raise ValueError(f"malformed {kind} witness file") from exc
-    raise ValueError(f"unknown witness kind {kind!r}")
+def _graph_witness(args, kind: str | None = None):
+    """The verifier and the back-translation of the witness in ``args.witness`` against
+    the instance in ``args.instance`` (of ``kind``, if given), as calls without arguments.
+    A witness entry of the wrong JSON type raises ValueError, so it is never a verdict."""
+    from . import reductions
+    from .graph import verify_clique, verify_coloring, verify_hamiltonian_cycle
+
+    inst = _read_json(args.instance, reductions.instance_from_json)
+    if kind not in (None, inst.kind):
+        raise ValueError(f"{args.instance} does not hold a {kind} instance")
+    # kind -> witness key, its JSON container and entry type, verifier, back-translation
+    key, container, entry, verify, translate = {
+        "clique": ("vertices", list, str, lambda w: verify_clique(inst.graph, w, inst.k),
+                   reductions.clique_witness_to_assignment),
+        "hamcycle": ("cycle", list, str, lambda w: verify_hamiltonian_cycle(inst.graph, w),
+                     reductions.hamcycle_witness_to_assignment),
+        "3color": ("coloring", dict, int, lambda w: verify_coloring(inst.graph, w, 3),
+                   reductions.coloring_witness_to_assignment),
+    }[inst.kind]
+    data = _read_json(args.witness)
+    value = data.get(key) if isinstance(data, dict) else None
+    entries = value.values() if isinstance(value, dict) else value
+    if not (isinstance(value, container) and all(type(e) is entry for e in entries)):
+        names = {list: "a list", dict: "an object", str: "strings", int: "integers"}
+        raise ValueError(
+            f'malformed {inst.kind} witness file: "{key}" must be {names[container]}; '
+            f"{key} entries must be {names[entry]}"
+        )
+    return lambda: verify(value), lambda: translate(inst, value)
 
 
 def _cmd_verify(args) -> int:
@@ -193,43 +207,16 @@ def _cmd_verify(args) -> int:
         witness = _read_json(args.witness, assignment_from_json)
         ok = evaluate(f, witness) is True
     else:
-        from . import reductions
-        from .graph import verify_clique, verify_coloring, verify_hamiltonian_cycle
-
-        instance_types = {
-            "clique": reductions.CliqueInstance,
-            "hamcycle": reductions.HamCycleInstance,
-            "3color": reductions.ColoringInstance,
-        }
-        inst = _read_json(args.instance, reductions.instance_from_json)
-        if not isinstance(inst, instance_types[args.kind]):
-            raise ValueError(f"{args.instance} does not hold a {args.kind} instance")
-        witness = _load_witness(args.kind, args.witness)
-        if args.kind == "clique":
-            ok = verify_clique(inst.graph, witness, inst.k)
-        elif args.kind == "hamcycle":
-            ok = verify_hamiltonian_cycle(inst.graph, witness)
-        else:
-            ok = verify_coloring(inst.graph, witness, 3)
+        verify, _ = _graph_witness(args, args.kind)
+        ok = verify()
     print("YES" if ok else "NO")
     return YES if ok else NO
 
 
 def _cmd_translate(args) -> int:
-    from . import reductions
-
-    inst = _read_json(args.instance, reductions.instance_from_json)
-    if isinstance(inst, reductions.CliqueInstance):
-        witness = _load_witness("clique", args.witness)
-        translate = reductions.clique_witness_to_assignment
-    elif isinstance(inst, reductions.HamCycleInstance):
-        witness = _load_witness("hamcycle", args.witness)
-        translate = reductions.hamcycle_witness_to_assignment
-    else:
-        witness = _load_witness("3color", args.witness)
-        translate = reductions.coloring_witness_to_assignment
+    _, translate = _graph_witness(args)
     try:
-        assignment = translate(inst, witness)
+        assignment = translate()
     except ValueError as exc:
         print(f"invalid witness: {exc}", file=sys.stderr)
         return NO
@@ -240,6 +227,11 @@ def _cmd_translate(args) -> int:
     return YES
 
 
+# RunOutcome.verdict -> stdout word and exit code
+_VERDICTS = {"accept": ("ACCEPT", YES), "reject": ("REJECT", NO),
+             "step_limit_exceeded": ("LIMIT", BUDGET)}
+
+
 def _cmd_tm_run(args) -> int:
     from . import turing
 
@@ -248,14 +240,9 @@ def _cmd_tm_run(args) -> int:
     if args.trace:
         for config in outcome.trace:
             print(config.render())
-    if outcome.verdict == "accept":
-        print("ACCEPT")
-        return YES
-    if outcome.verdict == "reject":
-        print("REJECT")
-        return NO
-    print("LIMIT")
-    return BUDGET
+    word, code = _VERDICTS[outcome.verdict]
+    print(word)
+    return code
 
 
 def _cmd_tm_ntm(args) -> int:
@@ -263,15 +250,10 @@ def _cmd_tm_ntm(args) -> int:
 
     m = turing.parse_machine(_read(args.machine))
     outcome, choices = turing.run_ntm(m, args.input, args.depth)
-    if outcome.verdict == "accept":
-        rendered = "".join(str(c) for c in choices)
-        print(f"ACCEPT {rendered}" if rendered else "ACCEPT")
-        return YES
-    if outcome.verdict == "reject":
-        print("REJECT")
-        return NO
-    print("LIMIT")
-    return BUDGET
+    word, code = _VERDICTS[outcome.verdict]
+    rendered = "".join(map(str, choices or ()))
+    print(f"{word} {rendered}" if rendered else word)
+    return code
 
 
 def _cmd_cooklevin(args) -> int:

@@ -258,7 +258,7 @@ def assignment_from_json(text: str) -> Assignment:
     out: Assignment = {}
     for key, val in data["vars"].items():
         v = int(key)
-        if v < 1 or not isinstance(val, bool):
+        if str(v) != key or v < 1 or not isinstance(val, bool):
             raise ValueError(f"bad witness entry {key!r}: {val!r}")
         out[v] = val
     return out

@@ -61,6 +61,7 @@ def _padded(f: CnfFormula) -> tuple[Clause, ...]:
 
 @dataclass(frozen=True)
 class CliqueInstance:
+    kind = "clique"  # a class attribute, not a field
     graph: Graph
     k: int
     vertex_index: dict[str, tuple[int, int, int]]  # label -> (var, clause, sign)
@@ -135,6 +136,7 @@ def assignment_to_clique(inst: CliqueInstance, a: Assignment) -> set[str]:
 
 @dataclass(frozen=True)
 class HamCycleInstance:
+    kind = "hamcycle"
     graph: Digraph
     subpath_index: dict[tuple[int, int], str]  # (var, position 1..2k) -> label
     clause_vertices: dict[int, str]
@@ -294,6 +296,7 @@ def hamcycle_witness_to_assignment(
 
 @dataclass(frozen=True)
 class ColoringInstance:
+    kind = "3color"
     graph: Graph
     special: tuple[str, str, str]  # (T, F, B)
     literal_vertices: dict[int, str]
@@ -384,21 +387,19 @@ def instance_to_json(inst) -> str:
         },
         "vertices": list(inst.graph.vertices),
         "edges": sorted(list(e) for e in inst.graph.edges),
+        "kind": inst.kind,
     }
     if isinstance(inst, CliqueInstance):
-        base["kind"] = "clique"
         base["k"] = inst.k
         base["vertex_index"] = {lbl: list(t) for lbl, t in inst.vertex_index.items()}
         base["clause_slots"] = [list(s) for s in inst.clause_slots]
     elif isinstance(inst, HamCycleInstance):
-        base["kind"] = "hamcycle"
         base["strict"] = inst.strict
         base["subpath_index"] = {f"{i}:{pos}": lbl for (i, pos), lbl in inst.subpath_index.items()}
         base["clause_vertices"] = {str(j): lbl for j, lbl in inst.clause_vertices.items()}
         base["source"] = inst.source
         base["target"] = inst.target
     elif isinstance(inst, ColoringInstance):
-        base["kind"] = "3color"
         base["special"] = list(inst.special)
         base["literal_vertices"] = {str(lit): lbl for lit, lbl in inst.literal_vertices.items()}
         base["gadget_vertices"] = {str(j): list(g) for j, g in inst.gadget_vertices.items()}
@@ -430,6 +431,7 @@ def _check_instance_shape(data) -> None:
     )
     kind = data.get("kind")
     require(kind in ("clique", "hamcycle", "3color"), f"unknown instance kind {kind!r}")
+    require(isinstance(data.get("strict", False), bool), '"strict" must be a boolean')
     vertices = data.get("vertices")
     require(
         isinstance(vertices, list) and all(isinstance(v, str) for v in vertices),

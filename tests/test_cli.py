@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import satkit
 from satkit.cli import run_cli
 from satkit.formula import assignment_from_json, parse_dimacs
+from satkit.graph import find_hamiltonian_cycle, find_k_coloring
 from satkit.oracle import brute_force_sat
 from satkit.reductions import (
     instance_from_json,
@@ -545,3 +550,142 @@ def test_verify_refuses_mis_sized_instance_quickly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not match its own formula" in captured.err
+
+
+TWO_CLAUSES = "p cnf 2 2\n1 2 0\n-1 2 0\n"
+
+
+def _reduce_two_clauses(kind, tmp_path, *flags):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(TWO_CLAUSES)
+    inst = tmp_path / f"{kind}.json"
+    assert run_cli(["reduce", kind, str(cnf), "--json", str(inst), *flags]) == 0
+    return inst
+
+
+COLORING = find_k_coloring(reduce_to_3color(parse_dimacs(TWO_CLAUSES)).graph, 3)
+
+
+@pytest.mark.parametrize("command", ["verify", "translate"])
+@pytest.mark.parametrize(
+    "kind, witness",
+    [
+        ("3color", {"coloring": {v: c + 0.5 for v, c in COLORING.items()}}),
+        ("3color", {"coloring": {v: str(c) for v, c in COLORING.items()}}),
+        ("hamcycle", {"cycle": "s"}),
+        ("clique", {"vertices": "abc"}),
+        ("clique", {"vertices": {"a": 1}}),
+    ],
+    ids=["float-colors", "string-colors", "string-cycle", "string-vertices", "object-vertices"],
+)
+def test_wrong_typed_graph_witness_is_usage_error(command, kind, witness, tmp_path, capsys):
+    inst = _reduce_two_clauses(kind, tmp_path)
+    path = tmp_path / "w.json"
+    if kind == "3color":  # the same coloring with integer colors verifies
+        path.write_text(json.dumps({"coloring": COLORING}))
+        assert run_cli(["verify", kind, str(inst), str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(witness))
+    argv = ["verify", kind] if command == "verify" else ["translate"]
+    assert run_cli([*argv, str(inst), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {kind} witness file")
+
+
+@pytest.mark.parametrize("key", ["1_0", "+10", " 10", "010", "\u0661\u0660"])
+def test_non_canonical_assignment_key_is_usage_error(key, tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 10 1\n10 0\n")
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"vars": {"10": True}}))
+    assert run_cli(["verify", "assignment", str(cnf), str(witness)]) == 0
+    capsys.readouterr()
+    witness.write_text(json.dumps({"vars": {key: True}}))
+    assert run_cli(["verify", "assignment", str(cnf), str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad witness entry")
+
+
+@pytest.mark.parametrize("strict", ["yes", 1, [0]])
+def test_non_boolean_strict_is_usage_error(strict, tmp_path, capsys):
+    inst = _reduce_two_clauses("hamcycle", tmp_path, "--strict")
+    cycle = find_hamiltonian_cycle(instance_from_json(inst.read_text()).graph)
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"cycle": cycle}))
+    assert run_cli(["verify", "hamcycle", str(inst), str(witness)]) == 0
+    capsys.readouterr()
+    inst.write_text(_replace_field(inst.read_text(), "strict", strict))
+    assert run_cli(["verify", "hamcycle", str(inst), str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed instance file")
+
+
+def _wrong_entries(kind):
+    """JSON values of every type but the one entries of a ``kind`` witness must have."""
+    right = {
+        "assignment": lambda v: isinstance(v, bool),
+        "3color": lambda v: type(v) is int,
+    }.get(kind, lambda v: isinstance(v, str))
+    return json_values.filter(lambda v: not right(v))
+
+
+@st.composite
+def wrong_typed_witness_cases(draw):
+    """A command, a well-formed instance and a witness with one wrong-typed entry."""
+    command = draw(st.sampled_from(JSON_COMMANDS + [["verify", "assignment"]]))
+    kind = command[1] if command[0] == "verify" else draw(st.sampled_from(sorted(INSTANCES)))
+    instance = FIG_3CNF if kind == "assignment" else INSTANCES[kind]
+    return command, instance, _witness_shape(kind, draw(_wrong_entries(kind)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wrong_typed_witness_cases())
+def test_wrong_typed_witness_entry_is_usage_error(case):
+    command, instance, witness = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "instance"), os.path.join(tmp, "witness.json")]
+        for path, text in zip(paths, (instance, witness)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli([*command, *paths])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_demo_block_runs_as_commented(tmp_path, monkeypatch, capsys):
+    shutil.copytree(DEMO, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    block = README.read_text(encoding="utf-8").split("Ready-made inputs live in `demo/`:")[1]
+    runs = {}  # the line's comment, or its command when it has none -> argv, code, stdout
+    for line in block.split("```")[1].strip().splitlines():
+        command, _, comment = line.partition(" # ")
+        argv = shlex.split(command)
+        assert argv[0] == "satkit", line
+        runs[comment.strip() or command.strip()] = (argv[1:], run_cli(argv[1:]),
+                                                    capsys.readouterr().out)
+
+    argv, code, out = runs.pop("SAT, witness all-false")
+    assert (code, out) == (0, "SAT\n")
+    assert run_cli([*argv, "--witness", "w.json"]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+    assert assignment_from_json(Path("w.json").read_text()) == {1: False, 2: False, 3: False}
+    argv, code, out = runs.pop("NO (optimum is 3)")
+    assert (code, out) == (1, "NO\n")
+    argv[argv.index("--k") + 1] = "3"
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "YES\n"
+    _, code, out = runs.pop("ACCEPT")
+    assert (code, out.splitlines()[-1]) == (0, "ACCEPT")
+    _, code, out = runs.pop("1296 vars, 259851 clauses")
+    assert (code, out) == (0, "tableau 9x9: 1296 vars, 259851 clauses\n")
+    # The two commands without a comment write the files they name.
+    assert [code for _, code, _ in runs.values()] == [0, 0]
+    assert all(Path(name).stat().st_size for name in ("g.dot", "inst.json", "enc.cnf", "vars.json"))
