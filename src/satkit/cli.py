@@ -105,8 +105,8 @@ def _cmd_solve(args) -> int:
             from . import tractable
 
             result = tractable.solve_2sat(f) if method == "2sat" else tractable.solve_horn(f)
-    print("SAT" if result.satisfiable else "UNSAT")
     _emit_witness(args.witness, result.witness)
+    print("SAT" if result.satisfiable else "UNSAT")
     return YES if result.satisfiable else NO
 
 
@@ -122,9 +122,9 @@ def _cmd_maxsat(args) -> int:
         ok = optimum >= args.k
     else:
         ok, witness = oracle.max_sat_decide(f, args.k, max_vars=budget), None
-    print("YES" if ok else "NO")
     if ok:
         _emit_witness(args.witness, witness)
+    print("YES" if ok else "NO")
     return YES if ok else NO
 
 

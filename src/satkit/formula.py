@@ -86,7 +86,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     A line whose first token is ``%`` ends the clause section, as in the
     SATLIB benchmark files; everything after it is ignored and the header's
     clause count applies to the clauses before it. A ``%`` anywhere else is
-    a bad token.
+    a bad token. The header and clause lines are ASCII without underscores;
+    comments and the ``%`` trailer may hold anything.
     """
     num_vars = None
     num_clauses = None
@@ -97,6 +98,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        # int() would also read "1_0" and non-ASCII digits such as "١٠".
+        if ("_" in raw or not raw.isascii()) and not line.startswith("%"):
+            raise DimacsError(f"line {lineno}: underscore or non-ASCII character in {line!r}")
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 from .formula import Assignment, Clause, CnfFormula, evaluate, max_clause_width
 from .graph import (
@@ -165,76 +164,50 @@ def _chain(i: int, k: int, strict: bool) -> list[str]:
     return chain
 
 
-def _strict_tips(i: int) -> tuple[str, str]:
-    return f"in:{i}", f"out:{i}"
-
-
 def reduce_to_hamcycle(f: CnfFormula, strict: bool = False) -> HamCycleInstance:
     """Directed graph with a Hamiltonian cycle tracking satisfying assignments.
 
     Each variable gets a bidirectional sub-path of 2k vertices; left-to-right
-    traversal means true. Both ends of each sub-path feed both ends of the
-    next; s feeds the first sub-path, the last feeds t, and t closes back to
-    s. Clause vertex C_j hangs off positions 2j-1 and 2j of each constituent
-    variable, oriented left-to-right for positive literals and right-to-left
-    for negative ones. With ``strict`` separators and tips are inserted (see
-    module docstring); |V| is 2nk+k+2 by default and n(3k+3)+k+2 in strict
-    mode.
+    traversal means true. Every exit of one variable feeds every entry of the
+    next, from s to t, and t closes back to s; both are the sub-path's two
+    ends, or in strict mode its entry and exit tip. Clause vertex C_j hangs
+    off positions 2j-1 and 2j of each constituent variable, oriented
+    left-to-right for positive literals and right-to-left for negative ones.
+    With ``strict`` separators and tips are inserted (see module docstring);
+    |V| is 2nk+k+2 by default and n(3k+3)+k+2 in strict mode.
     """
     if f.num_vars < 1 or not f.clauses:
         raise ValueError("reduction needs at least one variable and one clause")
     padded = _padded(f)
     n, k = f.num_vars, len(padded)
     vertices: list[str] = ["s"]
-    edges: set[tuple[str, str]] = set()
-    chains = {i: _chain(i, k, strict) for i in range(1, n + 1)}
+    edges: set[tuple[str, str]] = {("t", "s")}
     subpath_index = {
         (i, pos): f"p:{i}:{pos}" for i in range(1, n + 1) for pos in range(1, 2 * k + 1)
     }
+    exits: tuple[str, ...] = ("s",)
     for i in range(1, n + 1):
+        chain = _chain(i, k, strict)
+        edges.update(zip(chain, chain[1:]))
+        edges.update(zip(chain[1:], chain))
+        entries = ends = (chain[0], chain[-1])
         if strict:
-            vertices.append(_strict_tips(i)[0])
-        chain = chains[i]
+            # Entry/exit tips force every cycle to cross the chain: a tip's
+            # only successors are the chain ends, so a path cannot use an
+            # end vertex as a corridor and cover the interior through a
+            # clause vertex later.
+            tip_in, tip_out = f"in:{i}", f"out:{i}"
+            edges.update((tip_in, end) for end in ends)
+            edges.update((end, tip_out) for end in ends)
+            chain = [tip_in, *chain, tip_out]
+            entries, ends = (tip_in,), (tip_out,)
         vertices += chain
-        for a, b in zip(chain, chain[1:]):
-            edges.add((a, b))
-            edges.add((b, a))
-        if strict:
-            vertices.append(_strict_tips(i)[1])
-    clause_vertices = {}
-    for j in range(1, k + 1):
-        label = f"C:{j}"
-        clause_vertices[j] = label
-        vertices.append(label)
+        edges.update((a, b) for a in exits for b in entries)
+        exits = ends
+    edges.update((a, "t") for a in exits)
+    clause_vertices = {j: f"C:{j}" for j in range(1, k + 1)}
+    vertices += clause_vertices.values()
     vertices.append("t")
-
-    def ends(i: int) -> tuple[str, str]:
-        return chains[i][0], chains[i][-1]
-
-    if strict:
-        # Entry/exit tips force every cycle to cross each sub-path's chain:
-        # a tip's only successors are the chain ends, so a path cannot use
-        # an end vertex as a corridor and cover the interior through a
-        # clause vertex later.
-        for i in range(1, n + 1):
-            tip_in, tip_out = _strict_tips(i)
-            for end in ends(i):
-                edges.add((tip_in, end))
-                edges.add((end, tip_out))
-        edges.add(("s", _strict_tips(1)[0]))
-        for i in range(1, n):
-            edges.add((_strict_tips(i)[1], _strict_tips(i + 1)[0]))
-        edges.add((_strict_tips(n)[1], "t"))
-    else:
-        for end in ends(1):
-            edges.add(("s", end))
-        for i in range(1, n):
-            for a in ends(i):
-                for b in ends(i + 1):
-                    edges.add((a, b))
-        for end in ends(n):
-            edges.add((end, "t"))
-    edges.add(("t", "s"))
 
     for j, clause in enumerate(padded, start=1):
         for lit in set(clause):
@@ -249,14 +222,7 @@ def reduce_to_hamcycle(f: CnfFormula, strict: bool = False) -> HamCycleInstance:
                 edges.add((clause_vertices[j], left))
 
     return HamCycleInstance(
-        Digraph(vertices, edges),
-        subpath_index,
-        clause_vertices,
-        "s",
-        "t",
-        strict,
-        f,
-        padded,
+        Digraph(vertices, edges), subpath_index, clause_vertices, "s", "t", strict, f, padded
     )
 
 
@@ -463,19 +429,18 @@ def instance_from_json(text: str):
     f = CnfFormula(
         data["formula"]["num_vars"], [tuple(c) for c in data["formula"]["clauses"]]
     )
-    kind = data["kind"]
+    kind, strict = data["kind"], data.get("strict", False)
     n, k = f.num_vars, len(f.clauses)
     if kind == "clique":
         size, reduce = 3 * k, reduce_to_clique
     elif kind == "hamcycle":
-        strict = bool(data.get("strict", False))
         size = n * (3 * k + 3) + k + 2 if strict else 2 * n * k + k + 2
-        reduce = partial(reduce_to_hamcycle, strict=strict)
+        reduce = reduce_to_hamcycle
     else:
         size, reduce = 2 * n + 3 + 6 * k, reduce_to_3color
     if len(data["vertices"]) != size:
         raise ValueError("instance file does not match its own formula")
-    inst = reduce(f)
+    inst = reduce(f, strict) if kind == "hamcycle" else reduce(f)
     directed = isinstance(inst.graph, Digraph)
     stored = {tuple(e) if directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])

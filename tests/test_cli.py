@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import satkit
-from satkit.cli import run_cli
+from satkit.cli import build_parser, run_cli
 from satkit.formula import assignment_from_json, parse_dimacs
 from satkit.graph import find_hamiltonian_cycle, find_k_coloring
 from satkit.oracle import brute_force_sat
@@ -84,6 +86,20 @@ def test_solve_malformed_file(tmp_path, capsys):
     path = tmp_path / "bogus.cnf"
     path.write_text("p cnf x y\n")
     assert run_cli(["solve", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 10 1\n1_0 0\n", "p cnf 10 1\n١٠ 0\n", "p cnf 1_0 1\n10 0\n"],
+    ids=["underscore", "arabic", "header"],
+)
+def test_solve_rejects_integers_outside_dimacs(text, tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underscore or non-ASCII" in captured.err
 
 
 def test_solve_accepts_satlib_percent_trailer(tmp_path, capsys):
@@ -177,6 +193,18 @@ def test_maxsat_over_budget_prints_nothing(tmp_path, monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err == "error: k must be non-negative\n"
         assert not witness.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["maxsat", "--k", "3"]], ids=["solve", "maxsat"])
+def test_unwritable_witness_prints_no_verdict(argv, cnf31, cnf33, tmp_path, capsys):
+    # The witness is written before the verdict, so a failed write leaves stdout empty.
+    witness = tmp_path / "missing" / "w.json"
+    cnf = cnf31 if argv[0] == "solve" else cnf33
+    assert run_cli([*argv, "--witness", str(witness), cnf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
 
 def test_to3cnf(tmp_path, cnf31, capsys):
     out = tmp_path / "three.cnf"
@@ -689,3 +717,23 @@ def test_readme_demo_block_runs_as_commented(tmp_path, monkeypatch, capsys):
     # The two commands without a comment write the files they name.
     assert [code for _, code, _ in runs.values()] == [0, 0]
     assert all(Path(name).stat().st_size for name in ("g.dot", "inst.json", "enc.cnf", "vars.json"))
+
+
+def _leaf_commands(parser, words=()):
+    """(command words, option strings other than help) of every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*words, name))
+            return
+    yield words, {s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+
+
+def test_readme_cli_synopsis_matches_parser():
+    block = README.read_text(encoding="utf-8").split("## CLI\n\n```\n")[1].split("```")[0]
+    lines = block.strip().splitlines()
+    commands = list(_leaf_commands(build_parser()))
+    assert len(lines) == len(commands)
+    for words, options in commands:
+        [line] = [line for line in lines if line.startswith(" ".join(("satkit", *words, "")))]
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)) == options, line

@@ -85,6 +85,25 @@ def test_parse_percent_elsewhere_is_a_bad_token():
         parse_dimacs("%\np cnf 1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("p cnf 10 1\n1_0 0\n", 2),
+        ("p cnf 10 1\n\u0661\u0660 0\n", 2),  # Arabic-Indic digits for 10
+        ("p cnf 1_0 1\n10 0\n", 1),
+    ],
+    ids=["underscore", "arabic", "header"],
+)
+def test_parse_rejects_integers_int_reads_but_dimacs_does_not(text, lineno):
+    with pytest.raises(DimacsError, match=f"line {lineno}: underscore or non-ASCII"):
+        parse_dimacs(text)
+
+
+def test_parse_leaves_comments_and_trailer_unchecked():
+    text = "c caf\u00e9 snake_case\np cnf 10 1\n+10 0\n%\n\u0661_\n"
+    assert parse_dimacs(text) == CnfFormula(10, [(10,)])
+
+
 @st.composite
 def cnf_formulas(draw, max_vars=6, max_width=6):
     n = draw(st.integers(0, max_vars))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -267,6 +268,38 @@ def test_hamcycle_strict_witness_round_trip_property(f):
     assert (cycle is not None) == brute_force_sat(f).satisfiable
     if cycle is not None:
         assert evaluate(f, hamcycle_witness_to_assignment(inst, cycle)) is True
+
+
+def _hamcycle_pin_corpus():
+    """200 seeded 3-CNFs with clauses of width 1-3 drawn from few variables,
+    so short clauses (padded by repetition) and repeated literals are common."""
+    rng = random.Random(1972)
+    corpus = []
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+        clauses = [
+            tuple(rng.choice(lits) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        corpus.append(CnfFormula(n, clauses))
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "strict, digest",
+    [
+        (False, "938bef1d322f4f787a87404735491101f49babd7"),
+        (True, "023a76c7add1e0e9904e6afeeee51389ff25a60a"),
+    ],
+    ids=["default", "strict"],
+)
+def test_hamcycle_instances_are_pinned(strict, digest):
+    # The vertex order and the edge set of both graphs, as their JSON dump.
+    h = hashlib.sha1()
+    for f in _hamcycle_pin_corpus():
+        h.update(instance_to_json(reduce_to_hamcycle(f, strict)).encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
