@@ -301,3 +301,49 @@ def test_to_dot():
     styled = to_dot(pair, {"a": {"shape": "box", "fillcolor": "red"}})
     assert '"a" [fillcolor="red", shape="box"];' in styled
     check_dot(styled, directed=False)
+
+
+def test_searches_run_at_their_budgets():
+    vs = [f"v{i}" for i in range(40)]
+    assert find_clique(Graph(vs), 2) is None
+    assert find_hamiltonian_cycle(Digraph(vs[:32])) is None
+    assert find_k_coloring(Graph(vs[:24]), 3) == dict.fromkeys(vs[:24], 1)
+
+
+@pytest.mark.parametrize("search, g, message", [
+    (lambda g: find_clique(g, 2), Graph([f"v{i}" for i in range(41)]),
+     "41 vertices exceed the clique-search budget of 40"),
+    (find_hamiltonian_cycle, Digraph([f"v{i}" for i in range(33)]),
+     "33 vertices exceed the cycle-search budget of 32"),
+    (lambda g: find_k_coloring(g, 3), Graph([f"v{i}" for i in range(25)]),
+     "25 vertices exceed the coloring-search budget of 24"),
+])
+def test_searches_refuse_one_vertex_past_their_budgets(search, g, message):
+    with pytest.raises(BudgetExceededError) as refused:
+        search(g)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_graph_validation_messages(cls):
+    for vertices, edges, message in [
+        ("aa", [], "duplicate vertex labels"),
+        ("ab", [("b", "b")], "self-loop on 'b'"),
+        ("ab", [("a", "c")], "edge ('a', 'c') references unknown vertex"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            cls(vertices, edges)
+        assert str(refused.value) == message
+
+
+def test_graph_and_digraph_identity():
+    g, h = Graph("ab", [("b", "a")]), Graph("ab", [("a", "b")])
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == "Graph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"
+    d, e = Digraph("ab", [("b", "a")]), Digraph("ab", [("b", "a")])
+    assert d == e and hash(d) == hash(e)
+    assert repr(d) == "Digraph(vertices=('a', 'b'), edges=frozenset({('b', 'a')}))"
+    assert Graph("ab", [("a", "b")]) != Digraph("ab", [("a", "b")])
+    assert Graph("ab") != Digraph("ab")
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert d.has_edge("b", "a") and not d.has_edge("a", "b")
