@@ -24,66 +24,66 @@ from .errors import BudgetExceededError
 Coloring = dict[str, int]
 
 
-def _check_edges(vertices, pairs) -> None:
+def _freeze(g, vertices, edges: frozenset[tuple[str, str]]) -> None:
+    """Check and set the fields of ``g``; ``edges`` are already normalised."""
+    vertices = tuple(vertices)
     vs = set(vertices)
-    if len(vs) != len(tuple(vertices)):
+    if len(vs) != len(vertices):
         raise ValueError("duplicate vertex labels")
-    for u, v in pairs:
+    for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop on {u!r}")
         if u not in vs or v not in vs:
             raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
+    object.__setattr__(g, "vertices", vertices)
+    object.__setattr__(g, "edges", edges)
+
+
+def _sorted_neighbours(g: Graph | Digraph) -> dict[str, list[str]]:
+    """Each vertex's neighbours in sorted order, keyed in vertex order."""
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].append(v)
+    if not g.directed:
+        for u, v in g.edges:
+            adj[v].append(u)
+    for heads in adj.values():
+        heads.sort()
+    return adj
 
 
 @dataclass(frozen=True)
 class Graph:
+    directed = False  # a class attribute, not a field
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # stored with endpoints sorted
 
     def __init__(self, vertices, edges=()):
-        vertices = tuple(vertices)
-        norm = frozenset(tuple(sorted(e)) for e in edges)
-        _check_edges(vertices, norm)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", norm)
+        _freeze(self, vertices, frozenset(tuple(sorted(e)) for e in edges))
 
     def has_edge(self, u: str, v: str) -> bool:
         return tuple(sorted((u, v))) in self.edges
 
     def adjacency(self) -> dict[str, list[str]]:
         """Each vertex's neighbours in sorted order, keyed in vertex order."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj.values():
-            nbrs.sort()
-        return adj
+        return _sorted_neighbours(self)
 
 
 @dataclass(frozen=True)
 class Digraph:
+    directed = True
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
     def __init__(self, vertices, edges=()):
-        vertices = tuple(vertices)
-        norm = frozenset(tuple(e) for e in edges)
-        _check_edges(vertices, norm)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", norm)
+        _freeze(self, vertices, frozenset(tuple(e) for e in edges))
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
 
     def successors(self) -> dict[str, list[str]]:
         """Each vertex's successors in sorted order, keyed in vertex order."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-        for succ in adj.values():
-            succ.sort()
-        return adj
+        return _sorted_neighbours(self)
 
 
 def tarjan_scc(succ: list[list[int]]) -> tuple[list[int], int]:
@@ -149,9 +149,7 @@ def strongly_connected_components(
     ``g.vertices`` order, successors in sorted label order.
     """
     at = {v: i for i, v in enumerate(g.vertices)}
-    succ: list[list[int]] = [[] for _ in g.vertices]
-    for u, v in sorted(g.edges):
-        succ[at[u]].append(at[v])
+    succ = [[at[w] for w in heads] for heads in g.successors().values()]
     emitted, count = tarjan_scc(succ)
     members: list[list[str]] = [[] for _ in range(count)]
     for v, c in zip(g.vertices, emitted):
@@ -180,6 +178,13 @@ def is_bipartite(g: Graph) -> Coloring | None:
     return color
 
 
+def _within_budget(g: Graph | Digraph, budget: int, search: str) -> None:
+    if len(g.vertices) > budget:
+        raise BudgetExceededError(
+            f"{len(g.vertices)} vertices exceed the {search}-search budget of {budget}"
+        )
+
+
 def verify_clique(g: Graph, s: set[str], k: int) -> bool:
     s = set(s)
     if len(s) < k:
@@ -189,12 +194,9 @@ def verify_clique(g: Graph, s: set[str], k: int) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(sorted(s), 2))
 
 
-def find_clique(g: Graph, k: int, max_vertices: int = 40) -> set[str] | None:
+def find_clique(g: Graph, k: int) -> set[str] | None:
     """First k-subset (in sorted vertex order) forming a clique, if any."""
-    if len(g.vertices) > max_vertices:
-        raise BudgetExceededError(
-            f"{len(g.vertices)} vertices exceed the clique-search budget of {max_vertices}"
-        )
+    _within_budget(g, 40, "clique")
     if k <= 0:
         return set()
     for cand in combinations(sorted(g.vertices), k):
@@ -243,14 +245,9 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
     yield from extend()
 
 
-def find_hamiltonian_cycle(g: Digraph, max_vertices: int = 32) -> list[str] | None:
-    if len(g.vertices) > max_vertices:
-        raise BudgetExceededError(
-            f"{len(g.vertices)} vertices exceed the cycle-search budget of {max_vertices}"
-        )
-    for cycle in iter_hamiltonian_cycles(g):
-        return cycle
-    return None
+def find_hamiltonian_cycle(g: Digraph) -> list[str] | None:
+    _within_budget(g, 32, "cycle")
+    return next(iter_hamiltonian_cycles(g), None)
 
 
 def verify_coloring(g: Graph, c: Mapping[str, int], k: int) -> bool:
@@ -261,12 +258,9 @@ def verify_coloring(g: Graph, c: Mapping[str, int], k: int) -> bool:
     return all(c[u] != c[v] for u, v in g.edges)
 
 
-def find_k_coloring(g: Graph, k: int, max_vertices: int = 24) -> Coloring | None:
+def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     """First valid k-coloring in vertex order, colors tried ascending."""
-    if len(g.vertices) > max_vertices:
-        raise BudgetExceededError(
-            f"{len(g.vertices)} vertices exceed the coloring-search budget of {max_vertices}"
-        )
+    _within_budget(g, 24, "coloring")
     adj = g.adjacency()
     order = list(g.vertices)
     color: Coloring = {}
@@ -292,8 +286,7 @@ def _dot_quote(s: str) -> str:
 
 def to_dot(g: Graph | Digraph, styling: Mapping[str, Mapping[str, str]] | None = None) -> str:
     """DOT text for the graph; ``styling`` maps labels to attribute dicts."""
-    directed = isinstance(g, Digraph)
-    lines = ["digraph G {" if directed else "graph G {"]
+    lines = ["digraph G {" if g.directed else "graph G {"]
     styling = styling or {}
     for v in g.vertices:
         attrs = styling.get(v)
@@ -302,7 +295,7 @@ def to_dot(g: Graph | Digraph, styling: Mapping[str, Mapping[str, str]] | None =
             lines.append(f"  {_dot_quote(v)} [{body}];")
         else:
             lines.append(f"  {_dot_quote(v)};")
-    arrow = "->" if directed else "--"
+    arrow = "->" if g.directed else "--"
     for u, v in sorted(g.edges):
         lines.append(f"  {_dot_quote(u)} {arrow} {_dot_quote(v)};")
     lines.append("}")

@@ -441,8 +441,7 @@ def instance_from_json(text: str):
     if len(data["vertices"]) != size:
         raise ValueError("instance file does not match its own formula")
     inst = reduce(f, strict) if kind == "hamcycle" else reduce(f)
-    directed = isinstance(inst.graph, Digraph)
-    stored = {tuple(e) if directed else tuple(sorted(e)) for e in data["edges"]}
+    stored = {tuple(e) if inst.graph.directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])
     if not (same_vertices and inst.graph.edges == stored):
         raise ValueError("instance file does not match its own formula")
