@@ -94,7 +94,10 @@ def parse_dimacs(text: str) -> CnfFormula:
     clauses: list[Clause] = []
     current: list[int] = []
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at \n, \r\n or \r: str.splitlines() would also end one
+    # at U+2028, \x0c and others, so a comment could hide a live line.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

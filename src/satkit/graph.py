@@ -2,9 +2,12 @@
 
 Vertices are opaque string labels. :class:`Graph` is undirected with set
 semantics on edges, :class:`Digraph` is directed; parallel edges collapse
-and self-loops are rejected. The brute-force finders (`find_clique`,
+and self-loops are rejected. The two share one constructor and one
+neighbour-list builder and differ in how an edge is stored and in the
+class attribute ``directed``. The brute-force finders (`find_clique`,
 `find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
-hard size guards and deterministic, first-in-canonical-order results.
+fixed vertex budgets of 40, 32 and 24, past which they raise
+`BudgetExceededError`, and deterministic, first-in-canonical-order results.
 
 Strongly connected components come from one iterative Tarjan kernel over
 int vertices, :func:`tarjan_scc`. :func:`strongly_connected_components` is

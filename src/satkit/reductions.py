@@ -23,7 +23,9 @@ itself must certify satisfiability.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .formula import Assignment, Clause, CnfFormula, evaluate, max_clause_width
 from .graph import (
@@ -99,6 +101,17 @@ def reduce_to_clique(f: CnfFormula) -> CliqueInstance:
     return CliqueInstance(
         Graph(vertices, edges), k, vertex_index, tuple(clause_slots), f, padded
     )
+
+
+def _clique_edge_count(padded: tuple[Clause, ...]) -> int:
+    """|E| of :func:`reduce_to_clique`'s graph without building it: all pairs
+    of the 3k occurrences, less the 3k pairs inside one clause and the
+    complementary pairs across clauses."""
+    count = Counter(lit for clause in padded for lit in clause)
+    complementary = sum(count[lit] * count[-lit] for lit in count if lit > 0)
+    within = sum(a == -b for clause in padded for a, b in combinations(clause, 2))
+    m = 3 * len(padded)
+    return m * (m - 1) // 2 - m - (complementary - within)
 
 
 def clique_witness_to_assignment(inst: CliqueInstance, s: set[str]) -> Assignment:
@@ -420,9 +433,10 @@ def instance_from_json(text: str):
     The graph is reconstructed by re-running the reduction on the embedded
     formula and cross-checked against the stored vertex and edge lists, so a
     tampered or mislabeled file is rejected rather than trusted. A vertex
-    list whose length differs from the reduction's documented size is
-    rejected before the reduction runs, so a small file cannot make it build
-    a large graph.
+    list whose length differs from the reduction's documented size, or a
+    CLIQUE edge list whose length differs from the count the clauses fix,
+    is rejected before the reduction runs, so a small file cannot make it
+    build a large graph.
     """
     data = json.loads(text)
     _check_instance_shape(data)
@@ -438,7 +452,10 @@ def instance_from_json(text: str):
         reduce = reduce_to_hamcycle
     else:
         size, reduce = 2 * n + 3 + 6 * k, reduce_to_3color
-    if len(data["vertices"]) != size:
+    # CLIQUE's |E| grows with |V|^2; the other two graphs' with |V|.
+    if len(data["vertices"]) != size or (
+        kind == "clique" and len(data["edges"]) != _clique_edge_count(_padded(f))
+    ):
         raise ValueError("instance file does not match its own formula")
     inst = reduce(f, strict) if kind == "hamcycle" else reduce(f)
     stored = {tuple(e) if inst.graph.directed else tuple(sorted(e)) for e in data["edges"]}

@@ -142,7 +142,7 @@ def initial_configuration(m: MachineSpec, input_symbols: str | list[str]) -> Con
     bad = [s for s in symbols if s not in m.input_alphabet]
     if bad:
         raise ValueError(f"input symbols {bad!r} not in the input alphabet")
-    return Configuration(symbols if symbols else (BLANK,), 0, m.q0)
+    return Configuration(symbols, 0, m.q0)
 
 
 def step(m: MachineSpec, c: Configuration, choice: int = 0) -> Configuration:
@@ -156,8 +156,6 @@ def step(m: MachineSpec, c: Configuration, choice: int = 0) -> Configuration:
     tape = list(c.tape)
     tape[c.head] = written
     head = max(0, c.head - 1) if direction == "L" else c.head + 1
-    if head == len(tape):
-        tape.append(BLANK)
     return Configuration(tape, head, new_state)
 
 
@@ -291,7 +289,10 @@ def decode_multitape(encoded: list[str]) -> tuple[list[list[str]], list[int]]:
 def parse_machine(text: str) -> MachineSpec:
     headers: dict[str, list[str]] = {}
     delta: dict[tuple[str, str], set[Option]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at \n, \r\n or \r: str.splitlines() would also end one
+    # at U+2028, \x0c and others, so a comment could hide a live line.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

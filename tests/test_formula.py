@@ -267,3 +267,32 @@ def test_witness_json_round_trip():
     assert assignment_to_json(a) == '{"vars": {"1": true, "3": false}}'
     with pytest.raises(ValueError):
         assignment_from_json('{"wrong": {}}')
+
+
+# Characters str.splitlines() ends a line at, besides \n and \r.
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+def test_parse_comment_cannot_hold_a_clause(ch):
+    text = f"p cnf 1 1\nc note{ch}-1 0\n1 0\n"
+    assert parse_dimacs(text) == CnfFormula(1, [(1,)])
+
+
+def test_parse_line_ends():
+    for end in ("\n", "\r\n", "\r"):
+        text = end.join(["c x", "p cnf 2 2", "1 -2", "0", "2 0", ""])
+        assert parse_dimacs(text) == CnfFormula(2, [(1, -2), (2,)])
+    with pytest.raises(DimacsError, match="line 3: bad token"):
+        parse_dimacs("p cnf 1 1\r\nc\rx 0\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cnf_formulas(), st.data())
+def test_inserted_comment_line_changes_nothing(f, data):
+    lines = write_dimacs(f).split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    note = data.draw(st.text(st.sampled_from(NOT_LINE_ENDS) | st.characters(
+        blacklist_characters="\n\r")))
+    lines.insert(at, "c" + note)
+    assert parse_dimacs("\n".join(lines)) == f

@@ -485,3 +485,34 @@ def test_dot_styling_round():
     ):
         text = to_dot(inst.graph, dot_styling(inst))
         check_dot(text, directed=isinstance(inst, HamCycleInstance))
+
+
+def test_instance_json_checks_clique_edge_count_before_reducing(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the reduction ran on a file with the wrong edge count")
+
+    rng = random.Random(15)
+    f = random_3cnf(rng, 20, 800)
+    data = {
+        "formula": {"num_vars": f.num_vars, "clauses": [list(c) for c in f.clauses]},
+        "vertices": [f"v{i}" for i in range(3 * len(f.clauses))],
+        "edges": [],
+        "kind": "clique",
+    }
+    monkeypatch.setattr(reductions, "reduce_to_clique", unexpected)
+    with pytest.raises(ValueError, match="does not match"):
+        instance_from_json(json.dumps(data))
+
+
+def test_clique_edge_count_matches_built_graph():
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        lits = [*range(1, n + 1), *range(-n, 0)]
+        clauses = [
+            tuple(rng.choice(lits) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        f = CnfFormula(n, clauses)
+        want = len(reduce_to_clique(f).graph.edges)
+        assert reductions._clique_edge_count(reductions._padded(f)) == want, f

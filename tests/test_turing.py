@@ -300,3 +300,34 @@ def test_configuration_canonicalizes_trailing_blanks():
     assert a == b
     c = Configuration(("1", BLANK), 1, "q")
     assert c.tape == ("1", BLANK)
+
+
+NO_TRANSITIONS = (
+    "states: q0 acc rej\ninput: 1\ntape: 1 _\nstart: q0\naccept: acc\nreject: rej\n"
+)
+
+
+@pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_machine_comment_cannot_hold_a_transition(ch):
+    m = parse_machine(NO_TRANSITIONS + f"# todo{ch}delta: q0 1 -> acc 1 R\n")
+    assert m.delta == {}
+    assert run_dtm(m, "1", 5).verdict == "reject"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ntm_machines(), st.data())
+def test_inserted_machine_comment_changes_nothing(m, data):
+    lines = format_machine(m).split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    note = data.draw(st.text(st.characters(blacklist_characters="\n\r")))
+    lines.insert(at, "#" + note)
+    for end in ("\n", "\r\n", "\r"):
+        assert parse_machine(end.join(lines)) == m
+
+
+def test_configuration_adds_the_blank_past_the_tape():
+    m = build_equality_checker()
+    assert initial_configuration(m, "") == Configuration((BLANK,), 0, "A")
+    out = run_dtm(m, "", 5, collect_trace=True)
+    assert [c.render() for c in out.trace] == ["[A] _", "_ [reject] _"]
+    assert step(m, initial_configuration(m, "#")).tape == ("#", BLANK)
