@@ -460,6 +460,7 @@ def instance_from_json(text: str):
     inst = reduce(f, strict) if kind == "hamcycle" else reduce(f)
     stored = {tuple(e) if inst.graph.directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])
-    if not (same_vertices and inst.graph.edges == stored):
+    same_edges = len(stored) == len(data["edges"]) and stored == inst.graph.edges
+    if not (same_vertices and same_edges):
         raise ValueError("instance file does not match its own formula")
     return inst

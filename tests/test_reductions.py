@@ -516,3 +516,15 @@ def test_clique_edge_count_matches_built_graph():
         f = CnfFormula(n, clauses)
         want = len(reduce_to_clique(f).graph.edges)
         assert reductions._clique_edge_count(reductions._padded(f)) == want, f
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [reduce_to_clique(FIG_EXAMPLE), reduce_to_hamcycle(FIG_EXAMPLE), reduce_to_3color(FIG_EXAMPLE)],
+    ids=["clique", "hamcycle", "3color"],
+)
+def test_instance_json_refuses_a_repeated_edge(inst):
+    data = json.loads(instance_to_json(inst))
+    data["edges"].append(data["edges"][0])
+    with pytest.raises(ValueError, match="does not match"):
+        instance_from_json(json.dumps(data))
