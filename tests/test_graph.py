@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -347,3 +348,9 @@ def test_graph_and_digraph_identity():
     assert Graph("ab") != Digraph("ab")
     assert g.has_edge("a", "b") and g.has_edge("b", "a")
     assert d.has_edge("b", "a") and not d.has_edge("a", "b")
+
+
+def test_direction_is_a_class_attribute_not_a_field():
+    assert (Graph.directed, Digraph.directed) == (False, True)
+    for cls in (Graph, Digraph):
+        assert [f.name for f in dataclasses.fields(cls)] == ["vertices", "edges"]
