@@ -8,9 +8,11 @@ budget; it must be a non-negative integer and is read only by the commands
 that search exhaustively.
 
 Each process runs one command, so start-up is most of its cost. Only
-``errors`` and ``formula`` are imported here (every command but ``tm run``
-and ``tm ntm`` needs ``formula``); every other submodule is imported inside
-the command that runs it.
+``errors`` and ``formula`` (with ``_record``, its value-class base) are
+imported here (every command but ``tm run`` and ``tm ntm`` needs
+``formula``); every other submodule is imported inside the command that
+runs it. No command loads ``dataclasses``, which imports ``inspect`` and
+compiles each decorated class's methods at start-up.
 """
 
 from __future__ import annotations

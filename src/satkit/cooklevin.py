@@ -36,11 +36,11 @@ column, so runs needing more than p-3 cells have no satisfying tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import BudgetExceededError
 from .formula import Assignment, CnfFormula
 from .turing import BLANK, MachineSpec
@@ -142,18 +142,23 @@ def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
     return legal
 
 
-@dataclass(frozen=True)
-class TableauSpec:
+class TableauSpec(Record):
     """Variable bookkeeping for one encoding: bijection (row, col, symbol) -> var."""
 
+    _fields = ("p", "symbols", "machine", "input_symbols")
     p: int
     symbols: tuple
     machine: MachineSpec
     input_symbols: tuple[str, ...]
-    index: dict = field(init=False, repr=False, compare=False)
+    index: dict  # derived from symbols; not a field, so not in repr or ==
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
+    def __init__(self, p: int, symbols: tuple, machine: MachineSpec,
+                 input_symbols: tuple[str, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "input_symbols", input_symbols)
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(symbols)})
 
     @property
     def num_symbols(self) -> int:

@@ -14,7 +14,8 @@ be partial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from ._record import Record
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
@@ -35,10 +36,10 @@ def _check_clauses(clauses, num_vars: int) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Conjunction of disjunctive clauses over variables 1..num_vars."""
 
+    _fields = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[Clause, ...]
 
@@ -60,10 +61,10 @@ class CnfFormula:
         return obj
 
 
-@dataclass(frozen=True)
-class DnfFormula:
+class DnfFormula(Record):
     """Disjunction of conjunctive terms; same literal conventions as CNF."""
 
+    _fields = ("num_vars", "terms")
     num_vars: int
     terms: tuple[Clause, ...]
 

@@ -4,7 +4,7 @@ Vertices are opaque string labels. :class:`Graph` is undirected with set
 semantics on edges, :class:`Digraph` is directed; parallel edges collapse
 and self-loops are rejected. The two share one constructor and one
 neighbour-list builder and differ in how an edge is stored and in the
-class attribute ``directed``. The brute-force finders (`find_clique`,
+class attribute ``directed``. The exhaustive finders (`find_clique`,
 `find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
 fixed vertex budgets of 40, 32 and 24, past which they raise
 `BudgetExceededError`, and deterministic, first-in-canonical-order results.
@@ -18,10 +18,10 @@ part of its contract, because 2-SAT witnesses depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
+from ._record import Record
 from .errors import BudgetExceededError
 
 Coloring = dict[str, int]
@@ -55,9 +55,9 @@ def _sorted_neighbours(g: Graph | Digraph) -> dict[str, list[str]]:
     return adj
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     directed = False  # a class attribute, not a field
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # stored with endpoints sorted
 
@@ -72,9 +72,9 @@ class Graph:
         return _sorted_neighbours(self)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     directed = True
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
@@ -198,14 +198,40 @@ def verify_clique(g: Graph, s: set[str], k: int) -> bool:
 
 
 def find_clique(g: Graph, k: int) -> set[str] | None:
-    """First k-subset (in sorted vertex order) forming a clique, if any."""
+    """First k-subset (in sorted vertex order) forming a clique, if any.
+
+    Backtracks over the sorted vertices, extending a partial clique only by
+    later vertices adjacent to all of it, and gives up on a branch once
+    fewer candidates remain than vertices are still needed. Cliques come
+    out in ``combinations`` order, so the first one is the first k-subset
+    that is a clique. Vertex sets are bitmasks over the sorted order.
+    """
     _within_budget(g, 40, "clique")
     if k <= 0:
         return set()
-    for cand in combinations(sorted(g.vertices), k):
-        if all(g.has_edge(u, v) for u, v in combinations(cand, 2)):
-            return set(cand)
-    return None
+    order = sorted(g.vertices)
+    at = {v: i for i, v in enumerate(order)}
+    neighbours = [0] * len(order)
+    for u, v in g.edges:
+        neighbours[at[u]] |= 1 << at[v]
+        neighbours[at[v]] |= 1 << at[u]
+    chosen: list[int] = []
+
+    def extend(candidates: int) -> bool:
+        need = k - len(chosen)
+        if need == 0:
+            return True
+        while candidates.bit_count() >= need:
+            lowest = candidates & -candidates
+            candidates ^= lowest  # what is left lies after the vertex taken
+            i = lowest.bit_length() - 1
+            chosen.append(i)
+            if extend(candidates & neighbours[i]):
+                return True
+            chosen.pop()
+        return False
+
+    return {order[i] for i in chosen} if extend((1 << len(order)) - 1) else None
 
 
 def verify_hamiltonian_cycle(g: Digraph, cycle: list[str]) -> bool:

@@ -22,21 +22,22 @@ highest-variable literal (as ``cooklevin.encode`` does) never pay a refile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import BudgetExceededError
 from .formula import Assignment, CnfFormula
 
 DEFAULT_MAX_VARS = 24
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(Record):
+    _fields = ("satisfiable", "witness")
     satisfiable: bool
     witness: Assignment | None
 
-    def __post_init__(self):
-        assert self.satisfiable == (self.witness is not None)
+    def __init__(self, satisfiable: bool, witness: Assignment | None):
+        assert satisfiable == (witness is not None)
+        object.__setattr__(self, "satisfiable", satisfiable)
+        object.__setattr__(self, "witness", witness)
 
 
 def _check_budget(f: CnfFormula, max_vars: int) -> None:

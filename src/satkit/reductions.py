@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .formula import Assignment, Clause, CnfFormula, evaluate, max_clause_width
 from .graph import (
     Digraph,
@@ -60,9 +60,9 @@ def _padded(f: CnfFormula) -> tuple[Clause, ...]:
 # CLIQUE
 
 
-@dataclass(frozen=True)
-class CliqueInstance:
+class CliqueInstance(Record):
     kind = "clique"  # a class attribute, not a field
+    _fields = ("graph", "k", "vertex_index", "clause_slots", "formula", "padded")
     graph: Graph
     k: int
     vertex_index: dict[str, tuple[int, int, int]]  # label -> (var, clause, sign)
@@ -146,9 +146,10 @@ def assignment_to_clique(inst: CliqueInstance, a: Assignment) -> set[str]:
 # HAM-CYCLE
 
 
-@dataclass(frozen=True)
-class HamCycleInstance:
+class HamCycleInstance(Record):
     kind = "hamcycle"
+    _fields = ("graph", "subpath_index", "clause_vertices", "source", "target", "strict",
+               "formula", "padded")
     graph: Digraph
     subpath_index: dict[tuple[int, int], str]  # (var, position 1..2k) -> label
     clause_vertices: dict[int, str]
@@ -273,9 +274,9 @@ def hamcycle_witness_to_assignment(
 # 3-COLOR
 
 
-@dataclass(frozen=True)
-class ColoringInstance:
+class ColoringInstance(Record):
     kind = "3color"
+    _fields = ("graph", "special", "literal_vertices", "gadget_vertices", "formula", "padded")
     graph: Graph
     special: tuple[str, str, str]  # (T, F, B)
     literal_vertices: dict[int, str]

@@ -15,16 +15,21 @@ chain, strictly above the original variable space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .formula import Assignment, CnfFormula, evaluate
 
 
-@dataclass(frozen=True)
-class ThreeCnfResult:
+class ThreeCnfResult(Record):
+    _fields = ("formula", "fresh_vars", "original_num_vars")
     formula: CnfFormula
     fresh_vars: tuple[tuple[int, ...], ...]  # per original clause index
     original_num_vars: int
+
+    def __init__(self, formula: CnfFormula, fresh_vars: tuple[tuple[int, ...], ...],
+                 original_num_vars: int):
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "fresh_vars", fresh_vars)
+        object.__setattr__(self, "original_num_vars", original_num_vars)
 
 
 def to_3cnf(f: CnfFormula) -> ThreeCnfResult:

@@ -23,17 +23,16 @@ paper-literal reference: its forced-true variables are exactly that model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .formula import Assignment, CnfFormula, DnfFormula, is_horn, max_clause_width
 from .graph import Digraph, tarjan_scc
 from .oracle import SatResult
 
 
-@dataclass(frozen=True)
-class ImplicationGraph:
+class ImplicationGraph(Record):
     """Digraph over the 2·num_vars literal vertices of a 2-CNF formula."""
 
+    _fields = ("num_vars", "digraph")
     num_vars: int
     digraph: Digraph
 
@@ -134,12 +133,16 @@ def solve_2sat(f: CnfFormula) -> SatResult:
     return SatResult(True, witness)
 
 
-@dataclass(frozen=True)
-class UpResult:
+class UpResult(Record):
     """Fixpoint of unit propagation: the reduced formula plus forced values."""
 
+    _fields = ("reduced", "forced")
     reduced: CnfFormula
     forced: Assignment
+
+    def __init__(self, reduced: CnfFormula, forced: Assignment):
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "forced", forced)
 
 
 def unit_propagate(f: CnfFormula) -> UpResult:

@@ -22,8 +22,9 @@ nondeterministic option set. Lines starting with ``#`` are comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal
+
+from ._record import Record
 
 BLANK = "_"
 DOT_MARK = "̇"  # combining dot above; marks head positions in snapshots
@@ -34,8 +35,8 @@ Option = tuple[str, str, Direction]
 Verdict = Literal["accept", "reject", "step_limit_exceeded"]
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(Record):
+    _fields = ("states", "input_alphabet", "tape_alphabet", "delta", "q0", "q_accept", "q_reject")
     states: frozenset[str]
     input_alphabet: frozenset[str]
     tape_alphabet: frozenset[str]
@@ -102,8 +103,8 @@ def _canon_tape(cells: tuple[str, ...], head: int) -> tuple[str, ...]:
     return tuple(cells)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
+    _fields = ("tape", "head", "state")
     tape: tuple[str, ...]
     head: int
     state: str
@@ -129,12 +130,20 @@ class Configuration:
         return " ".join(part for part in (left, middle, right) if part)
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(Record):
+    _fields = ("verdict", "steps_used", "final", "trace")
+    _compared = ("verdict", "steps_used", "final")  # trace shows in repr only
     verdict: Verdict
     steps_used: int
     final: Configuration
-    trace: tuple[Configuration, ...] | None = field(default=None, compare=False)
+    trace: tuple[Configuration, ...] | None
+
+    def __init__(self, verdict: Verdict, steps_used: int, final: Configuration,
+                 trace: tuple[Configuration, ...] | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "steps_used", steps_used)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "trace", trace)
 
 
 def initial_configuration(m: MachineSpec, input_symbols: str | list[str]) -> Configuration:

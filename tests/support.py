@@ -107,6 +107,17 @@ def successors_reference(g):
     return adj
 
 
+def find_clique_reference(g, k):
+    """``find_clique`` as first written: every k-subset of the sorted
+    vertices in ``combinations`` order, each pair tested with ``has_edge``."""
+    if k <= 0:
+        return set()
+    for cand in itertools.combinations(sorted(g.vertices), k):
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(cand, 2)):
+            return set(cand)
+    return None
+
+
 def is_bipartite_reference(g):
     """The BFS 2-coloring that ``graph.is_bipartite`` must reproduce, dict
     order included: roots in vertex order get color 0, and the queue is a

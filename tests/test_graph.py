@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satkit.errors import BudgetExceededError
+from satkit.formula import CnfFormula
 from satkit.graph import (
     Digraph,
     Graph,
@@ -24,6 +24,7 @@ from satkit.reductions import reduce_to_3color, reduce_to_clique, reduce_to_hamc
 from support import (
     adjacency_reference,
     check_dot,
+    find_clique_reference,
     is_bipartite_reference,
     random_3cnf,
     scc_by_closure,
@@ -214,6 +215,39 @@ def test_clique_verify_and_find():
     assert not verify_clique(k3, {"v0", "nope"}, 1)
 
 
+@st.composite
+def clique_search_cases(draw):
+    n = draw(st.integers(0, 12))
+    vs = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(vs, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(clique_search_cases())
+def test_find_clique_matches_the_exhaustive_reference(g):
+    for k in range(-1, len(g.vertices) + 2):
+        assert find_clique(g, k) == find_clique_reference(g, k), k
+
+
+def _sign_patterns_clique(num_clauses):
+    """CLIQUE instance of the eight sign patterns of (x1, x2, x3), which no
+    assignment satisfies, padded to ``num_clauses`` clauses by repeats."""
+    patterns = [tuple(s * v for s, v in zip(signs, (1, 2, 3)))
+                for signs in itertools.product((1, -1), repeat=3)]
+    f = CnfFormula(3, (patterns * 2)[:num_clauses])
+    return reduce_to_clique(f)
+
+
+@pytest.mark.parametrize("num_clauses", [9, 13])
+def test_find_clique_finishes_unsatisfiable_in_budget_instances(num_clauses):
+    inst = _sign_patterns_clique(num_clauses)
+    assert (inst.k, len(inst.graph.vertices)) == (num_clauses, 3 * num_clauses)
+    assert find_clique(inst.graph, inst.k) is None
+    assert verify_clique(inst.graph, find_clique(inst.graph, 8), 8)
+
+
 def test_clique_budget():
     vs = [f"v{i}" for i in range(41)]
     with pytest.raises(BudgetExceededError):
@@ -353,4 +387,4 @@ def test_graph_and_digraph_identity():
 def test_direction_is_a_class_attribute_not_a_field():
     assert (Graph.directed, Digraph.directed) == (False, True)
     for cls in (Graph, Digraph):
-        assert [f.name for f in dataclasses.fields(cls)] == ["vertices", "edges"]
+        assert cls._fields == ("vertices", "edges")

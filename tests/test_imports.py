@@ -5,6 +5,7 @@ compiled and executed on every run. Each case below runs in a new
 interpreter and lists the ``satkit`` modules loaded once it is done.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -85,7 +86,7 @@ def cli_loaded(argv: list[str], exit_code: int) -> set[str]:
     return loaded_after(code)
 
 
-CLI_BASE = {"satkit", "cli", "errors", "formula"}
+CLI_BASE = {"satkit", "cli", "errors", "formula", "_record"}
 
 
 def test_import_satkit_loads_no_submodule():
@@ -97,6 +98,34 @@ def test_import_satkit_loads_no_submodule():
 
 def test_import_cli_loads_only_errors_and_formula():
     assert loaded_after("import satkit.cli") == CLI_BASE
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect and compiles each class's methods when
+    # its module loads, a cost every CLI command would pay at start-up.
+    for path in sorted((SRC / "satkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
+
+
+def test_every_submodule_loads_without_dataclasses_or_inspect():
+    modules = sorted(p.stem for p in (SRC / "satkit").glob("*.py") if p.stem != "__init__")
+    assert {"cli", "cooklevin", "formula", "graph", "turing"} <= set(modules)
+    # -S keeps site (and the .pth files it runs) from preloading modules.
+    code = (
+        f"import importlib, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+        f"for name in {modules!r}:\n    importlib.import_module('satkit.' + name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 @pytest.fixture
