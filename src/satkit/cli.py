@@ -153,18 +153,12 @@ def _cmd_reduce(args) -> int:
     from . import reductions
     from .graph import to_dot
 
-    f = _parse_cnf_file(args.file)
-    if args.kind == "clique":
-        inst = reductions.reduce_to_clique(f)
-    elif args.kind == "hamcycle":
-        inst = reductions.reduce_to_hamcycle(f, strict=args.strict)
-    else:
-        inst = reductions.reduce_to_3color(f)
+    inst = reductions.KINDS[args.kind].reduce(_parse_cnf_file(args.file), args.strict)
     if args.dot:
         _write(args.dot, to_dot(inst.graph, reductions.dot_styling(inst)))
     if args.json:
         _write(args.json, reductions.instance_to_json(inst) + "\n")
-    extra = f", k={inst.k}" if args.kind == "clique" else ""
+    extra = "".join(f", {name}={getattr(inst, name)}" for name in inst.summary_extras)
     print(
         f"{args.kind}: {len(inst.graph.vertices)} vertices, "
         f"{len(inst.graph.edges)} edges{extra}"
@@ -173,24 +167,15 @@ def _cmd_reduce(args) -> int:
 
 
 def _graph_witness(args, kind: str | None = None):
-    """The verifier and the back-translation of the witness in ``args.witness`` against
-    the instance in ``args.instance`` (of ``kind``, if given), as calls without arguments.
-    A witness entry of the wrong JSON type raises ValueError, so it is never a verdict."""
+    """The instance in ``args.instance`` (of ``kind``, if given) and the witness in
+    ``args.witness``, for the instance's ``verify`` and ``to_assignment``. A witness
+    entry of the wrong JSON type raises ValueError, so it is never a verdict."""
     from . import reductions
-    from .graph import verify_clique, verify_coloring, verify_hamiltonian_cycle
 
     inst = _read_json(args.instance, reductions.instance_from_json)
     if kind not in (None, inst.kind):
         raise ValueError(f"{args.instance} does not hold a {kind} instance")
-    # kind -> witness key, its JSON container and entry type, verifier, back-translation
-    key, container, entry, verify, translate = {
-        "clique": ("vertices", list, str, lambda w: verify_clique(inst.graph, w, inst.k),
-                   reductions.clique_witness_to_assignment),
-        "hamcycle": ("cycle", list, str, lambda w: verify_hamiltonian_cycle(inst.graph, w),
-                     reductions.hamcycle_witness_to_assignment),
-        "3color": ("coloring", dict, int, lambda w: verify_coloring(inst.graph, w, 3),
-                   reductions.coloring_witness_to_assignment),
-    }[inst.kind]
+    key, container, entry = inst.witness_key, inst.witness_container, inst.witness_entry
     data = _read_json(args.witness)
     value = data.get(key) if isinstance(data, dict) else None
     entries = value.values() if isinstance(value, dict) else value
@@ -200,7 +185,7 @@ def _graph_witness(args, kind: str | None = None):
             f'malformed {inst.kind} witness file: "{key}" must be {names[container]}; '
             f"{key} entries must be {names[entry]}"
         )
-    return lambda: verify(value), lambda: translate(inst, value)
+    return inst, value
 
 
 def _cmd_verify(args) -> int:
@@ -209,16 +194,16 @@ def _cmd_verify(args) -> int:
         witness = _read_json(args.witness, assignment_from_json)
         ok = evaluate(f, witness) is True
     else:
-        verify, _ = _graph_witness(args, args.kind)
-        ok = verify()
+        inst, witness = _graph_witness(args, args.kind)
+        ok = inst.verify(witness)
     print("YES" if ok else "NO")
     return YES if ok else NO
 
 
 def _cmd_translate(args) -> int:
-    _, translate = _graph_witness(args)
+    inst, witness = _graph_witness(args)
     try:
-        assignment = translate()
+        assignment = inst.to_assignment(witness)
     except ValueError as exc:
         print(f"invalid witness: {exc}", file=sys.stderr)
         return NO

@@ -7,6 +7,12 @@ occurrences get a slot suffix so repeated literals stay distinct vertices);
 the typed index maps on each instance are authoritative, labels exist for
 DOT output and JSON interchange.
 
+Each instance class holds what is specific to its kind: the reduction that
+builds it, its documented vertex count, its witness format, verifier and
+back-translation, its DOT styling and the fields its JSON dump adds.
+:data:`KINDS` maps each ``kind`` to its class, and the loader, the DOT and
+JSON writers and the CLI read that table instead of branching on kind.
+
 The Hamiltonian-cycle construction comes in two flavours. The default wires
 each clause vertex straight between positions 2j-1 and 2j of its variables'
 sub-paths and connects sub-path ends directly in sequence. That version is
@@ -61,7 +67,15 @@ def _padded(f: CnfFormula) -> tuple[Clause, ...]:
 
 
 class CliqueInstance(Record):
-    kind = "clique"  # a class attribute, not a field
+    # Class attributes, not fields: the kind, the fields the JSON dump adds
+    # (in order), the fields the CLI's summary line adds, and the witness
+    # file's key, its JSON container and the type of its entries. Each
+    # class's ``reduce`` looks the module-level reduction up when called,
+    # so a stand-in patched over ``reduce_to_*`` is what the loader runs.
+    kind = "clique"
+    json_extras = ("k", "vertex_index", "clause_slots")
+    summary_extras = ("k",)
+    witness_key, witness_container, witness_entry = "vertices", list, str
     _fields = ("graph", "k", "vertex_index", "clause_slots", "formula", "padded")
     graph: Graph
     k: int
@@ -69,6 +83,44 @@ class CliqueInstance(Record):
     clause_slots: tuple[tuple[str, str, str], ...]
     formula: CnfFormula
     padded: tuple[Clause, ...]
+
+    @staticmethod
+    def reduce(f: CnfFormula, strict: bool) -> CliqueInstance:
+        return reduce_to_clique(f)  # only HAM-CYCLE has a strict mode
+
+    @staticmethod
+    def num_vertices(n: int, k: int, strict: bool) -> int:
+        return 3 * k
+
+    @staticmethod
+    def num_edges(f: CnfFormula) -> int:
+        """|E| as the clauses fix it. Only CLIQUE has this hook: its |E|
+        grows with |V|^2, the other two graphs' with |V|."""
+        return _clique_edge_count(_padded(f))
+
+    def verify(self, s: set[str]) -> bool:
+        return verify_clique(self.graph, s, self.k)
+
+    def to_assignment(self, s: set[str]) -> Assignment:
+        """Read variable values off a verified k-clique; leftovers default false."""
+        if not self.verify(s):
+            raise ValueError("not a valid clique of the required size")
+        witness: Assignment = {}
+        for label in s:
+            i, _, h = self.vertex_index[label]
+            want = h > 0
+            assert witness.get(i, want) == want, "edge rule admitted a contradiction"
+            witness[i] = want
+        for v in range(1, self.formula.num_vars + 1):
+            witness.setdefault(v, False)
+        return witness
+
+    def dot_styling(self) -> dict[str, dict[str, str]]:
+        palette = ["lightblue", "lightyellow", "lightpink", "lightgreen", "lavender", "wheat"]
+        return {
+            label: {"style": "filled", "fillcolor": palette[(j - 1) % len(palette)]}
+            for label, (_, j, _) in self.vertex_index.items()
+        }
 
 
 def reduce_to_clique(f: CnfFormula) -> CliqueInstance:
@@ -114,19 +166,7 @@ def _clique_edge_count(padded: tuple[Clause, ...]) -> int:
     return m * (m - 1) // 2 - m - (complementary - within)
 
 
-def clique_witness_to_assignment(inst: CliqueInstance, s: set[str]) -> Assignment:
-    """Read variable values off a verified k-clique; leftovers default false."""
-    if not verify_clique(inst.graph, s, inst.k):
-        raise ValueError("not a valid clique of the required size")
-    witness: Assignment = {}
-    for label in s:
-        i, _, h = inst.vertex_index[label]
-        want = h > 0
-        assert witness.get(i, want) == want, "edge rule admitted a contradiction"
-        witness[i] = want
-    for v in range(1, inst.formula.num_vars + 1):
-        witness.setdefault(v, False)
-    return witness
+clique_witness_to_assignment = CliqueInstance.to_assignment
 
 
 def assignment_to_clique(inst: CliqueInstance, a: Assignment) -> set[str]:
@@ -148,6 +188,9 @@ def assignment_to_clique(inst: CliqueInstance, a: Assignment) -> set[str]:
 
 class HamCycleInstance(Record):
     kind = "hamcycle"
+    json_extras = ("strict", "subpath_index", "clause_vertices", "source", "target")
+    summary_extras = ()
+    witness_key, witness_container, witness_entry = "cycle", list, str
     _fields = ("graph", "subpath_index", "clause_vertices", "source", "target", "strict",
                "formula", "padded")
     graph: Digraph
@@ -166,6 +209,55 @@ class HamCycleInstance(Record):
     @property
     def k(self) -> int:
         return len(self.padded)
+
+    @staticmethod
+    def reduce(f: CnfFormula, strict: bool) -> HamCycleInstance:
+        return reduce_to_hamcycle(f, strict)
+
+    @staticmethod
+    def num_vertices(n: int, k: int, strict: bool) -> int:
+        return n * (3 * k + 3) + k + 2 if strict else 2 * n * k + k + 2
+
+    def verify(self, cycle: list[str]) -> bool:
+        return verify_hamiltonian_cycle(self.graph, cycle)
+
+    def to_assignment(self, cycle: list[str]) -> Assignment:
+        """Read each variable's truth value off its sub-path traversal direction.
+
+        The cycle is rotated to start at s; a variable is true when position 1
+        of its sub-path precedes position 2k. A sub-path whose positions are not
+        visited in strictly increasing or strictly decreasing order raises
+        :class:`NonCanonicalCycleError` (possible on non-strict instances).
+        """
+        if not self.verify(cycle):
+            raise ValueError("not a Hamiltonian cycle of the instance graph")
+        at = cycle.index(self.source)
+        rotated = cycle[at:] + cycle[:at]
+        order = {label: idx for idx, label in enumerate(rotated)}
+        witness: Assignment = {}
+        span = 2 * self.k
+        for i in range(1, self.num_vars + 1):
+            ranked = sorted(range(1, span + 1), key=lambda pos: order[self.subpath_index[(i, pos)]])
+            if ranked == list(range(1, span + 1)):
+                witness[i] = True
+            elif ranked == list(range(span, 0, -1)):
+                witness[i] = False
+            else:
+                raise NonCanonicalCycleError(
+                    f"sub-path of variable {i} is traversed inconsistently"
+                )
+        return witness
+
+    def dot_styling(self) -> dict[str, dict[str, str]]:
+        style: dict[str, dict[str, str]] = {}
+        for label in self.clause_vertices.values():
+            style[label] = {"shape": "box", "style": "filled", "fillcolor": "lightblue"}
+        style[self.source] = {"shape": "doublecircle", "style": "filled", "fillcolor": "palegreen"}
+        style[self.target] = {"shape": "doublecircle", "style": "filled", "fillcolor": "salmon"}
+        for label in self.graph.vertices:
+            if label.startswith("sep:"):
+                style[label] = {"style": "filled", "fillcolor": "gray85"}
+        return style
 
 
 def _chain(i: int, k: int, strict: bool) -> list[str]:
@@ -240,34 +332,7 @@ def reduce_to_hamcycle(f: CnfFormula, strict: bool = False) -> HamCycleInstance:
     )
 
 
-def hamcycle_witness_to_assignment(
-    inst: HamCycleInstance, cycle: list[str]
-) -> Assignment:
-    """Read each variable's truth value off its sub-path traversal direction.
-
-    The cycle is rotated to start at s; a variable is true when position 1
-    of its sub-path precedes position 2k. A sub-path whose positions are not
-    visited in strictly increasing or strictly decreasing order raises
-    :class:`NonCanonicalCycleError` (possible on non-strict instances).
-    """
-    if not verify_hamiltonian_cycle(inst.graph, cycle):
-        raise ValueError("not a Hamiltonian cycle of the instance graph")
-    at = cycle.index(inst.source)
-    rotated = cycle[at:] + cycle[:at]
-    order = {label: idx for idx, label in enumerate(rotated)}
-    witness: Assignment = {}
-    span = 2 * inst.k
-    for i in range(1, inst.num_vars + 1):
-        ranked = sorted(range(1, span + 1), key=lambda pos: order[inst.subpath_index[(i, pos)]])
-        if ranked == list(range(1, span + 1)):
-            witness[i] = True
-        elif ranked == list(range(span, 0, -1)):
-            witness[i] = False
-        else:
-            raise NonCanonicalCycleError(
-                f"sub-path of variable {i} is traversed inconsistently"
-            )
-    return witness
+hamcycle_witness_to_assignment = HamCycleInstance.to_assignment
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +341,9 @@ def hamcycle_witness_to_assignment(
 
 class ColoringInstance(Record):
     kind = "3color"
+    json_extras = ("special", "literal_vertices", "gadget_vertices")
+    summary_extras = ()
+    witness_key, witness_container, witness_entry = "coloring", dict, int
     _fields = ("graph", "special", "literal_vertices", "gadget_vertices", "formula", "padded")
     graph: Graph
     special: tuple[str, str, str]  # (T, F, B)
@@ -283,6 +351,35 @@ class ColoringInstance(Record):
     gadget_vertices: dict[int, tuple[str, ...]]
     formula: CnfFormula
     padded: tuple[Clause, ...]
+
+    @staticmethod
+    def reduce(f: CnfFormula, strict: bool) -> ColoringInstance:
+        return reduce_to_3color(f)
+
+    @staticmethod
+    def num_vertices(n: int, k: int, strict: bool) -> int:
+        return 2 * n + 3 + 6 * k
+
+    def verify(self, c: dict[str, int]) -> bool:
+        return verify_coloring(self.graph, c, 3)
+
+    def to_assignment(self, c: dict[str, int]) -> Assignment:
+        """Variables take the truth value of whichever of T/F shares their color."""
+        if not self.verify(c):
+            raise ValueError("not a valid 3-coloring of the instance graph")
+        t_color = c[self.special[0]]
+        return {
+            i: c[self.literal_vertices[i]] == t_color
+            for i in range(1, self.formula.num_vars + 1)
+        }
+
+    def dot_styling(self) -> dict[str, dict[str, str]]:
+        t, f, b = self.special
+        return {
+            t: {"style": "filled", "fillcolor": "palegreen"},
+            f: {"style": "filled", "fillcolor": "salmon"},
+            b: {"style": "filled", "fillcolor": "lightblue"},
+        }
 
 
 def reduce_to_3color(f: CnfFormula) -> ColoringInstance:
@@ -319,47 +416,33 @@ def reduce_to_3color(f: CnfFormula) -> ColoringInstance:
     )
 
 
-def coloring_witness_to_assignment(inst: ColoringInstance, c: dict[str, int]) -> Assignment:
-    """Variables take the truth value of whichever of T/F shares their color."""
-    if not verify_coloring(inst.graph, c, 3):
-        raise ValueError("not a valid 3-coloring of the instance graph")
-    t_color = c[inst.special[0]]
-    return {
-        i: c[inst.literal_vertices[i]] == t_color
-        for i in range(1, inst.formula.num_vars + 1)
-    }
+coloring_witness_to_assignment = ColoringInstance.to_assignment
 
 
 # ---------------------------------------------------------------------------
-# DOT styling and JSON interchange
+# The kind table, DOT styling and JSON interchange
+
+KINDS = {cls.kind: cls for cls in (CliqueInstance, HamCycleInstance, ColoringInstance)}
+
+
+def _checked(inst):
+    if type(inst) not in KINDS.values():
+        raise TypeError(f"not a reduction instance: {inst!r}")
+    return inst
 
 
 def dot_styling(inst) -> dict[str, dict[str, str]]:
     """Role-based DOT attributes highlighting special vertices."""
-    style: dict[str, dict[str, str]] = {}
-    if isinstance(inst, CliqueInstance):
-        palette = ["lightblue", "lightyellow", "lightpink", "lightgreen", "lavender", "wheat"]
-        for label, (_, j, _) in inst.vertex_index.items():
-            style[label] = {"style": "filled", "fillcolor": palette[(j - 1) % len(palette)]}
-    elif isinstance(inst, HamCycleInstance):
-        for label in inst.clause_vertices.values():
-            style[label] = {"shape": "box", "style": "filled", "fillcolor": "lightblue"}
-        style[inst.source] = {"shape": "doublecircle", "style": "filled", "fillcolor": "palegreen"}
-        style[inst.target] = {"shape": "doublecircle", "style": "filled", "fillcolor": "salmon"}
-        for label in inst.graph.vertices:
-            if label.startswith("sep:"):
-                style[label] = {"style": "filled", "fillcolor": "gray85"}
-    elif isinstance(inst, ColoringInstance):
-        t, f, b = inst.special
-        style[t] = {"style": "filled", "fillcolor": "palegreen"}
-        style[f] = {"style": "filled", "fillcolor": "salmon"}
-        style[b] = {"style": "filled", "fillcolor": "lightblue"}
-    else:
-        raise TypeError(f"not a reduction instance: {inst!r}")
-    return style
+    return _checked(inst).dot_styling()
+
+
+def _json_key(key):
+    # json.dumps writes int keys as strings itself; (i, pos) keys become "i:pos"
+    return ":".join(map(str, key)) if isinstance(key, tuple) else key
 
 
 def instance_to_json(inst) -> str:
+    _checked(inst)
     base = {
         "formula": {
             "num_vars": inst.formula.num_vars,
@@ -369,22 +452,11 @@ def instance_to_json(inst) -> str:
         "edges": sorted(list(e) for e in inst.graph.edges),
         "kind": inst.kind,
     }
-    if isinstance(inst, CliqueInstance):
-        base["k"] = inst.k
-        base["vertex_index"] = {lbl: list(t) for lbl, t in inst.vertex_index.items()}
-        base["clause_slots"] = [list(s) for s in inst.clause_slots]
-    elif isinstance(inst, HamCycleInstance):
-        base["strict"] = inst.strict
-        base["subpath_index"] = {f"{i}:{pos}": lbl for (i, pos), lbl in inst.subpath_index.items()}
-        base["clause_vertices"] = {str(j): lbl for j, lbl in inst.clause_vertices.items()}
-        base["source"] = inst.source
-        base["target"] = inst.target
-    elif isinstance(inst, ColoringInstance):
-        base["special"] = list(inst.special)
-        base["literal_vertices"] = {str(lit): lbl for lit, lbl in inst.literal_vertices.items()}
-        base["gadget_vertices"] = {str(j): list(g) for j, g in inst.gadget_vertices.items()}
-    else:
-        raise TypeError(f"not a reduction instance: {inst!r}")
+    for name in inst.json_extras:
+        value = getattr(inst, name)
+        if isinstance(value, dict):
+            value = {_json_key(key): v for key, v in value.items()}
+        base[name] = value
     return json.dumps(base, indent=1)
 
 
@@ -410,7 +482,8 @@ def _check_instance_shape(data) -> None:
         '"formula.clauses" must be a list of integer lists',
     )
     kind = data.get("kind")
-    require(kind in ("clique", "hamcycle", "3color"), f"unknown instance kind {kind!r}")
+    # a JSON list or object is unhashable, so test the type before the lookup
+    require(isinstance(kind, str) and kind in KINDS, f"unknown instance kind {kind!r}")
     require(isinstance(data.get("strict", False), bool), '"strict" must be a boolean')
     vertices = data.get("vertices")
     require(
@@ -444,21 +517,13 @@ def instance_from_json(text: str):
     f = CnfFormula(
         data["formula"]["num_vars"], [tuple(c) for c in data["formula"]["clauses"]]
     )
-    kind, strict = data["kind"], data.get("strict", False)
-    n, k = f.num_vars, len(f.clauses)
-    if kind == "clique":
-        size, reduce = 3 * k, reduce_to_clique
-    elif kind == "hamcycle":
-        size = n * (3 * k + 3) + k + 2 if strict else 2 * n * k + k + 2
-        reduce = reduce_to_hamcycle
-    else:
-        size, reduce = 2 * n + 3 + 6 * k, reduce_to_3color
-    # CLIQUE's |E| grows with |V|^2; the other two graphs' with |V|.
-    if len(data["vertices"]) != size or (
-        kind == "clique" and len(data["edges"]) != _clique_edge_count(_padded(f))
+    cls, strict = KINDS[data["kind"]], data.get("strict", False)
+    num_edges = getattr(cls, "num_edges", None)
+    if len(data["vertices"]) != cls.num_vertices(f.num_vars, len(f.clauses), strict) or (
+        num_edges is not None and len(data["edges"]) != num_edges(f)
     ):
         raise ValueError("instance file does not match its own formula")
-    inst = reduce(f, strict) if kind == "hamcycle" else reduce(f)
+    inst = cls.reduce(f, strict)
     stored = {tuple(e) if inst.graph.directed else tuple(sorted(e)) for e in data["edges"]}
     same_vertices = sorted(inst.graph.vertices) == sorted(data["vertices"])
     same_edges = len(stored) == len(data["edges"]) and stored == inst.graph.edges

@@ -524,15 +524,18 @@ def paper_walker_wrapped() -> MachineSpec:
     )
 
 
+TABLEAU_BATTERY = (
+    one_step_acceptor,
+    right_drifter,
+    branching_acceptor,
+    prefix_11_acceptor,
+    edge_bouncer,
+    paper_walker_wrapped,
+)
+
+
 def tableau_battery() -> list[MachineSpec]:
-    return [
-        one_step_acceptor(),
-        right_drifter(),
-        branching_acceptor(),
-        prefix_11_acceptor(),
-        edge_bouncer(),
-        paper_walker_wrapped(),
-    ]
+    return [build() for build in TABLEAU_BATTERY]
 
 
 def machine_inputs(m: MachineSpec, max_len: int) -> list[str]:

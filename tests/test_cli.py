@@ -20,6 +20,7 @@ from satkit.formula import assignment_from_json, parse_dimacs
 from satkit.graph import find_hamiltonian_cycle, find_k_coloring
 from satkit.oracle import brute_force_sat
 from satkit.reductions import (
+    KINDS,
     instance_from_json,
     instance_to_json,
     reduce_to_3color,
@@ -737,3 +738,15 @@ def test_readme_cli_synopsis_matches_parser():
     for words, options in commands:
         [line] = [line for line in lines if line.startswith(" ".join(("satkit", *words, "")))]
         assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)) == options, line
+
+
+def test_kind_choices_match_the_reduction_table():
+    # build_parser names the kinds itself, so that parsing loads no reduction code
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def kinds(command):
+        [kind] = [a for a in commands.choices[command]._actions if a.dest == "kind"]
+        return set(kind.choices)
+
+    assert kinds("reduce") == set(KINDS)
+    assert kinds("verify") == set(KINDS) | {"assignment"}

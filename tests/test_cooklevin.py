@@ -27,6 +27,7 @@ from satkit.turing import (
     run_dtm,
 )
 from support import (
+    TABLEAU_BATTERY,
     blocked_patterns_reference,
     legal_windows_reference,
     machine_inputs,
@@ -146,43 +147,17 @@ def _universe(m):
     )
 
 
-@pytest.mark.parametrize(
-    "machine", [one_step_acceptor, paper_walker_wrapped, build_equality_checker]
-)
-def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
-    m = machine()
-    universe = _universe(m)
-    legal = {w.top + w.bottom for w in legal_windows(m)}
-    patterns = blocked_patterns(legal, [universe] * 6)
-    blocked = set(patterns)
-    assert len(blocked) == len(patterns)
+def _subsets(cells):
+    return [sub for k in range(len(cells) + 1) for sub in itertools.combinations(cells, k)]
 
-    def subsets(cells):
-        return [sub for k in range(len(cells) + 1) for sub in itertools.combinations(cells, k)]
 
-    occurring = {
-        cells: {tuple(w[c] for c in cells) for w in legal} for cells in subsets(range(6))
-    }
-
-    # no legal window matches any pattern
-    for w in legal:
-        for cells in subsets(range(6)):
-            assert (cells, tuple(w[c] for c in cells)) not in blocked
-
-    # every proper sub-pattern of a pattern occurs in some legal window
-    for cells, vals in patterns:
-        assert 1 <= len(cells) <= 6
-        assert vals not in occurring[cells]
-        for keep in subsets(range(len(cells)))[:-1]:
-            sub = tuple(cells[i] for i in keep)
-            assert tuple(vals[i] for i in keep) in occurring[sub]
-
-    # every illegal window contains a pattern: grow all windows cell by cell
-    # and cut a branch as soon as its newest cell completes a pattern; each
-    # window that survives all six cells must be legal
+def _unblocked_windows(blocked, universe):
+    """Every window over ``universe`` that matches no pattern of ``blocked``:
+    grow windows cell by cell and cut a branch as soon as its newest cell
+    completes a pattern. Reads the patterns only, not how they were made."""
     prefixes = [()]
     for last in range(6):
-        earlier = subsets(range(last))
+        earlier = _subsets(range(last))
         prefixes = [
             prefix + (v,)
             for prefix in prefixes
@@ -192,7 +167,50 @@ def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
                 for cells in earlier
             )
         ]
-    assert set(prefixes) == legal
+    return set(prefixes)
+
+
+@pytest.mark.parametrize("machine", [*TABLEAU_BATTERY, build_equality_checker])
+def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
+    m = machine()
+    universe = _universe(m)
+    legal = {w.top + w.bottom for w in legal_windows(m)}
+    patterns = blocked_patterns(legal, [universe] * 6)
+    blocked = set(patterns)
+    assert len(blocked) == len(patterns)
+
+    occurring = {
+        cells: {tuple(w[c] for c in cells) for w in legal} for cells in _subsets(range(6))
+    }
+
+    # no legal window matches any pattern
+    for w in legal:
+        for cells in _subsets(range(6)):
+            assert (cells, tuple(w[c] for c in cells)) not in blocked
+
+    # every proper sub-pattern of a pattern occurs in some legal window
+    for cells, vals in patterns:
+        assert 1 <= len(cells) <= 6
+        assert vals not in occurring[cells]
+        for keep in _subsets(range(len(cells)))[:-1]:
+            sub = tuple(cells[i] for i in keep)
+            assert tuple(vals[i] for i in keep) in occurring[sub]
+
+    # every illegal window contains a pattern: the windows no pattern cuts
+    # are exactly the legal ones
+    assert _unblocked_windows(blocked, universe) == legal
+
+    # Mutations the check must catch. A one-cell pattern is the only pattern
+    # that matches a legal window with that one cell changed to its value
+    # (any other would contain it, or match the legal window), so dropping
+    # it lets illegal windows through, and each of them has its value.
+    (cell,), (value,) = dropped = min(p for p in patterns if len(p[0]) == 1)
+    loose = _unblocked_windows(blocked - {dropped}, universe)
+    assert loose > legal
+    assert all(w[cell] == value for w in loose - legal)
+    # a pattern that a legal window matches cuts that window
+    kept = min(legal)
+    assert _unblocked_windows(blocked | {(tuple(range(6)), kept)}, universe) == legal - {kept}
 
 
 @st.composite

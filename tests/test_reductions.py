@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,19 +287,35 @@ def _hamcycle_pin_corpus():
     return corpus
 
 
+def _hamcycle_strict(f):
+    return reduce_to_hamcycle(f, strict=True)
+
+
+def _dot(inst):
+    return to_dot(inst.graph, dot_styling(inst))
+
+
 @pytest.mark.parametrize(
-    "strict, digest",
+    "reduce, render, digest",
     [
-        (False, "938bef1d322f4f787a87404735491101f49babd7"),
-        (True, "023a76c7add1e0e9904e6afeeee51389ff25a60a"),
+        (reduce_to_hamcycle, instance_to_json, "938bef1d322f4f787a87404735491101f49babd7"),
+        (_hamcycle_strict, instance_to_json, "023a76c7add1e0e9904e6afeeee51389ff25a60a"),
+        (reduce_to_clique, instance_to_json, "0c195af87f45e75331a196eaecc30867d879b584"),
+        (reduce_to_3color, instance_to_json, "4e2c2b071b9df8bbfbf70680a9badb9143a255f1"),
+        (reduce_to_clique, _dot, "0426fd46d717acfcc3aec060707091d2884a873e"),
+        (reduce_to_hamcycle, _dot, "10ec27ec77ab3aa9598f3ec6da6ca034fb6a4f6a"),
+        (_hamcycle_strict, _dot, "659118bb17a158a19298122a672a7c46cc7bff83"),
+        (reduce_to_3color, _dot, "284c014b3da32463fe49cc16a72a4919c5448693"),
     ],
-    ids=["default", "strict"],
+    ids=["default", "strict", "clique", "3color",
+         "dot-clique", "dot-default", "dot-strict", "dot-3color"],
 )
-def test_hamcycle_instances_are_pinned(strict, digest):
-    # The vertex order and the edge set of both graphs, as their JSON dump.
+def test_hamcycle_instances_are_pinned(reduce, render, digest):
+    # The JSON dump (vertex order, edge set, index maps) and the styled DOT
+    # text of every instance of the corpus, in all four kinds and modes.
     h = hashlib.sha1()
     for f in _hamcycle_pin_corpus():
-        h.update(instance_to_json(reduce_to_hamcycle(f, strict)).encode())
+        h.update(render(reduce(f)).encode())
     assert h.hexdigest() == digest
 
 
@@ -414,6 +431,11 @@ def test_instance_json_round_trip():
         assert type(back) is type(inst)
         assert back.graph == inst.graph
         assert back.formula == inst.formula
+    # a look-alike with the fields and the kind of an instance is not one
+    inst = reduce_to_clique(f)
+    fake = SimpleNamespace(formula=inst.formula, graph=inst.graph, kind=inst.kind)
+    with pytest.raises(TypeError, match="not a reduction instance"):
+        instance_to_json(fake)
 
 
 def test_instance_json_rejects_tampering():
@@ -485,12 +507,19 @@ def test_dot_styling_round():
     ):
         text = to_dot(inst.graph, dot_styling(inst))
         check_dot(text, directed=isinstance(inst, HamCycleInstance))
+    for other in (reduce_to_clique(FIG_EXAMPLE).graph, None):
+        with pytest.raises(TypeError, match="not a reduction instance"):
+            dot_styling(other)
 
 
 def test_instance_json_checks_clique_edge_count_before_reducing(monkeypatch):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("the reduction ran on a file with the wrong edge count")
+    class Reduced(Exception):
+        pass
 
+    def reached(*args, **kwargs):
+        raise Reduced
+
+    good = instance_to_json(reduce_to_clique(FIG_EXAMPLE))
     rng = random.Random(15)
     f = random_3cnf(rng, 20, 800)
     data = {
@@ -499,9 +528,12 @@ def test_instance_json_checks_clique_edge_count_before_reducing(monkeypatch):
         "edges": [],
         "kind": "clique",
     }
-    monkeypatch.setattr(reductions, "reduce_to_clique", unexpected)
+    monkeypatch.setattr(reductions, "reduce_to_clique", reached)
     with pytest.raises(ValueError, match="does not match"):
         instance_from_json(json.dumps(data))
+    # control: the loader does call the patched reduction once the counts fit
+    with pytest.raises(Reduced):
+        instance_from_json(good)
 
 
 def test_clique_edge_count_matches_built_graph():
