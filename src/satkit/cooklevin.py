@@ -27,10 +27,12 @@ The per-variable meaning is "cell (row, col) holds symbol s". Constraints:
   paper-literal constraint, which ``windows="full"`` still emits: one
   6-literal clause per illegal window content per position.
 
-Legal windows are generated machine-locally: sliding a window over every
-transition's neighbourhood with one enumerated cell of hidden context on
-each side, plus content-preserving windows away from the head and verbatim
-repeats around halted states. The head never legally steps onto a boundary
+Legal windows are generated machine-locally by two rules. Copies: a window
+of tape symbols, boundaries and at most one halted state may repeat
+verbatim. Moves: the cells around a live head sit over the cells of each
+configuration ``turing.step`` makes of them, with hidden context on both
+sides, so the tableau and the simulators share one definition of a move,
+the left edge included. The head never legally steps onto a boundary
 column, so runs needing more than p-3 cells have no satisfying tableau.
 """
 
@@ -43,7 +45,7 @@ from typing import NamedTuple
 from ._record import Record
 from .errors import BudgetExceededError
 from .formula import Assignment, CnfFormula
-from .turing import BLANK, MachineSpec
+from .turing import BLANK, Configuration, MachineSpec, step
 
 BOUNDARY = ("#",)
 
@@ -77,8 +79,9 @@ def legal_windows(m: MachineSpec) -> set[WindowTemplate]:
 
 def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
     # Uncached generation; _window_constraints runs it once per machine.
-    gam = [tape_symbol(s) for s in sorted(m.tape_alphabet)]
-    ctx = gam + [BOUNDARY]
+    tape = sorted(m.tape_alphabet)
+    ctx = [tape_symbol(s) for s in tape] + [BOUNDARY]
+    halted = [state_symbol(m.q_accept), state_symbol(m.q_reject)]
     legal: set[WindowTemplate] = set()
 
     def add(top, bottom) -> None:
@@ -86,60 +89,43 @@ def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
         # such windows illegal is what pins # to the border columns.
         if top[1] == BOUNDARY or bottom[1] == BOUNDARY:
             return
-        legal.add(WindowTemplate(tuple(top), tuple(bottom)))
+        legal.add(WindowTemplate(top, bottom))
 
-    # Content far from the head is copied verbatim.
-    for t1 in ctx:
-        for t2 in gam:
-            for t3 in ctx:
-                add((t1, t2, t3), (t1, t2, t3))
+    # Copies: content away from a live head, and halted configurations,
+    # repeat verbatim.
+    for cells in product(ctx + halted, repeat=3):
+        if sum(c in halted for c in cells) <= 1:
+            add(cells, cells)
 
-    # Halted configurations repeat verbatim; the head may be parked facing
-    # the right boundary after a final right move.
-    for halted in (m.q_accept, m.q_reject):
-        q = state_symbol(halted)
-        for a in ctx:
-            for w in ctx:
-                add((w, q, a), (w, q, a))
-            for y in ctx:
-                add((q, a, y), (q, a, y))
-        for v in ctx:
-            for w in gam:
-                add((v, w, q), (v, w, q))
-
-    # Windows overlapping a transition's neighbourhood. The strip spans
-    # relative cells -3..+3 around the state cell (rel 0, head symbol at
-    # rel +1); cells outside rel -1..+1 are hidden context.
-    for state in sorted(m.states):
-        if m.is_halting(state):
-            continue
-        for sym in sorted(m.tape_alphabet):
-            q, a = state_symbol(state), tape_symbol(sym)
-            for target, written, direction in m.options(state, sym):
-                r, b = state_symbol(target), tape_symbol(written)
-                situations = []
-                if direction == "R":
-                    for x in ctx:
-                        situations.append(((x, q, a), (x, b, r), range(-3, 2)))
-                else:
-                    for x in gam:
-                        situations.append(((x, q, a), (r, x, b), range(-3, 2)))
-                    # At the left edge the head stays put.
-                    situations.append(
-                        ((BOUNDARY, q, a), (BOUNDARY, r, b), range(-1, 2))
-                    )
-                for top3, bot3, offsets in situations:
-                    for off in offsets:
-                        rels = range(off, off + 3)
-                        free = [idx for idx, rel in enumerate(rels) if not -1 <= rel <= 1]
-                        top = [None if idx in free else top3[rel + 1] for idx, rel in enumerate(rels)]
-                        bottom = [None if idx in free else bot3[rel + 1] for idx, rel in enumerate(rels)]
-                        for combo in product(ctx, repeat=len(free)):
-                            for idx, val in zip(free, combo):
-                                top[idx] = val
-                                bottom[idx] = val
-                            add(top, bottom)
+    # Moves: the cells (x, q, a) of a live head reading a, with x its left
+    # neighbour, over the first three cells of each configuration
+    # turing.step makes of them. Hidden context, copied unchanged, fills a
+    # 7-cell strip around them, and every strip window is legal; each strip
+    # cell lists the (top, bottom) pairs it may hold. An empty left tape puts
+    # the boundary at x, and the strip starts there.
+    hidden = [(c, c) for c in ctx]
+    for q in sorted(m.states - {m.q_accept, m.q_reject}):
+        for a in tape:
+            for left in [(), *((x,) for x in tape)]:
+                config = Configuration(left + (a,), len(left), q)
+                edge, before = ((), [hidden] * 2) if left else ((BOUNDARY,), [])
+                top = (edge + _cells(config))[:3]
+                for i in range(len(m.options(q, a))):
+                    bottom = (edge + _cells(step(m, config, i)))[:3]
+                    strip = before + [[pair] for pair in zip(top, bottom)] + [hidden] * 2
+                    for start in range(len(strip) - 2):
+                        for cells in product(*strip[start : start + 3]):
+                            add(*zip(*cells))
     return legal
+
+
+def _cells(c: Configuration) -> tuple:
+    """Tableau cells of a configuration: its tape with the state symbol just
+    left of the head, padded with blanks to three cells (a configuration
+    drops the blanks past its head)."""
+    cells = [tape_symbol(s) for s in c.tape]
+    cells.insert(c.head, state_symbol(c.state))
+    return tuple(cells + [tape_symbol(BLANK)] * (3 - len(cells)))
 
 
 class TableauSpec(Record):

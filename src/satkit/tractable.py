@@ -24,7 +24,7 @@ paper-literal reference: its forced-true variables are exactly that model.
 from __future__ import annotations
 
 from ._record import Record
-from .formula import Assignment, CnfFormula, DnfFormula, is_horn, max_clause_width
+from .formula import Assignment, CnfFormula, DnfFormula, is_horn, is_tautology, max_clause_width
 from .graph import Digraph, tarjan_scc
 from .oracle import SatResult
 
@@ -228,8 +228,7 @@ def solve_dnf(f: DnfFormula) -> SatResult:
     disjunction).
     """
     for term in f.terms:
-        lits = set(term)
-        if any(-lit in lits for lit in lits):
+        if is_tautology(term):  # a term with x and not-x is contradictory
             continue
         witness = {v: False for v in range(1, f.num_vars + 1)}
         for lit in term:

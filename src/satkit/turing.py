@@ -49,10 +49,10 @@ class MachineSpec(Record):
         states = frozenset(states)
         input_alphabet = frozenset(input_alphabet)
         tape_alphabet = frozenset(tape_alphabet)
-        norm: dict[tuple[str, str], tuple[Option, ...]] = {}
-        for key, options in delta.items():
-            opts = sorted({(r, b, d) for (r, b, d) in options}, key=lambda o: (o[0], o[1], o[2]))
-            norm[key] = tuple(opts)
+        norm: dict[tuple[str, str], tuple[Option, ...]] = {
+            key: tuple(sorted({(r, b, d) for r, b, d in options}))
+            for key, options in delta.items()
+        }
 
         if q_accept == q_reject:
             raise ValueError("accept and reject states must differ")
@@ -333,7 +333,7 @@ def parse_machine(text: str) -> MachineSpec:
         states=headers["states"],
         input_alphabet=headers["input"],
         tape_alphabet=headers["tape"],
-        delta={k: tuple(v) for k, v in delta.items()},
+        delta=delta,
         q0=headers["start"][0],
         q_accept=headers["accept"][0],
         q_reject=headers["reject"][0],

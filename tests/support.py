@@ -354,8 +354,11 @@ def blocked_patterns_reference(legal, domains):
 
 
 def legal_windows_reference(m: MachineSpec) -> set[WindowTemplate]:
-    """``cooklevin.legal_windows`` without the memo: the generator as it
-    stood before the per-machine memo served it, rebuilt on every call."""
+    """``cooklevin.legal_windows`` by the older hand-built formulation: a
+    copy family, three halted-state families, and right-move, left-move and
+    left-edge windows with their own offset arithmetic. Kept as a reference
+    independent of ``turing.step``, from which the generator derives its
+    move windows; rebuilt on every call, with no memo."""
     gam = [tape_symbol(s) for s in sorted(m.tape_alphabet)]
     ctx = gam + [BOUNDARY]
     legal: set[WindowTemplate] = set()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,9 +171,9 @@ def _unblocked_windows(blocked, universe):
     return set(prefixes)
 
 
-@pytest.mark.parametrize("machine", [*TABLEAU_BATTERY, build_equality_checker])
-def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
-    m = machine()
+def _check_blocked_patterns_lemma(m):
+    """The compact encoding's lemma at the window level: the minimal blocked
+    patterns of ``m`` cut exactly its illegal windows."""
     universe = _universe(m)
     legal = {w.top + w.bottom for w in legal_windows(m)}
     patterns = blocked_patterns(legal, [universe] * 6)
@@ -211,6 +212,24 @@ def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
     # a pattern that a legal window matches cuts that window
     kept = min(legal)
     assert _unblocked_windows(blocked | {(tuple(range(6)), kept)}, universe) == legal - {kept}
+
+
+LEMMA_MACHINES = (*TABLEAU_BATTERY, build_equality_checker)
+SATBENCH_MACHINES = Path(__file__).resolve().parents[1] / "satbench" / "machines"
+
+
+@pytest.mark.parametrize("machine", LEMMA_MACHINES)
+def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
+    _check_blocked_patterns_lemma(machine())
+
+
+def test_satbench_machines_are_lemma_checked():
+    # the benchmark's machine files are machines the lemma check above covers
+    checked = [build() for build in LEMMA_MACHINES]
+    paths = sorted(SATBENCH_MACHINES.glob("*.tm"))
+    assert paths
+    for path in paths:
+        assert parse_machine(path.read_text()) in checked, path.name
 
 
 @st.composite
@@ -331,6 +350,12 @@ def test_compact_matches_full_on_random_machines(m, data):
     compact, _ = encode(m, w, p)
     expected = brute_force_sat(full, max_vars=full.num_vars)
     assert brute_force_sat(compact, max_vars=compact.num_vars) == expected
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(tiny_machines())
+def test_blocked_patterns_block_exactly_the_illegal_windows_on_random_machines(m):
+    _check_blocked_patterns_lemma(m)
 
 
 @pytest.mark.parametrize("word", ["1#1", "1#0", "#", "0#0"])
@@ -572,6 +597,36 @@ def test_legal_windows_match_uncached_reference_on_random_machines(m):
         expected = legal_windows_reference(m)
         assert legal_windows(m) == expected
         assert legal_windows(m) == expected
+
+
+@st.composite
+def wide_machines(draw):
+    """Machines beyond tiny_machines: 2-5 states, up to six tape symbols that
+    may include "#", and 0-3 options per pair."""
+    names = [f"s{i}" for i in range(draw(st.integers(2, 5)))]
+    q_accept, q_reject = draw(st.permutations(names))[:2]
+    extra = draw(st.permutations(["0", "1", "#", "x", "y"]))[: draw(st.integers(1, 5))]
+    tape = sorted({BLANK, *extra})
+    inputs = set(draw(st.lists(st.sampled_from(extra), min_size=1, max_size=3)))
+    option = st.tuples(st.sampled_from(names), st.sampled_from(tape), st.sampled_from("LR"))
+    delta = {}
+    for q in names:
+        if q in (q_accept, q_reject):
+            continue
+        for a in tape:
+            options = draw(st.lists(option, max_size=3))
+            if options:
+                delta[(q, a)] = options
+    q0 = draw(st.sampled_from(names))
+    return MachineSpec(set(names), inputs, set(tape), delta, q0, q_accept, q_reject)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_machines())
+def test_legal_windows_match_reference_on_wide_machines(m):
+    # the generator alone: through the memo, each of these machines would
+    # also pay for its blocked patterns, several times the windows' cost
+    assert cooklevin._legal_windows(m) == legal_windows_reference(m)
 
 
 def test_mutating_legal_windows_leaves_the_memo_alone(fresh_memo):
