@@ -19,13 +19,16 @@ The per-variable meaning is "cell (row, col) holds symbol s". Constraints:
 * row 1 is pinned by unit clauses,
 * some cell holds the accept state (one wide clause),
 * every 2x3 window of two consecutive rows is legal. By default each window
-  position gets one clause per *minimal blocked pattern*: an assignment of
-  symbols to 1-6 of the window's cells that no legal window matches, while
-  every pattern obtained by dropping one of its cells does occur in some
-  legal window. These are the prime implicants of "the window is illegal";
-  together with the at-least-one cell clauses they are equivalent to the
-  paper-literal constraint, which ``windows="full"`` still emits: one
-  6-literal clause per illegal window content per position.
+  position gets one clause per pattern of an irredundant subset of the
+  *minimal blocked patterns*: assignments of symbols to 1-6 of the window's
+  cells that no legal window matches, while every pattern obtained by
+  dropping one of its cells does occur in some legal window. These are the
+  prime implicants of "the window is illegal"; together with the
+  at-least-one cell clauses they are equivalent to the paper-literal
+  constraint, which ``windows="full"`` still emits: one 6-literal clause
+  per illegal window content per position. A prime is left out when
+  resolving a cell's at-least-one clause with kept patterns' clauses gives
+  a clause that subsumes its own, so the equivalence holds.
 
 Legal windows are generated machine-locally by two rules. Copies: a window
 of tape symbols, boundaries and at most one halted state may repeat
@@ -246,6 +249,40 @@ def blocked_patterns(legal, domains) -> list[tuple[tuple[int, ...], tuple]]:
     return patterns
 
 
+def _irredundant(patterns, msz: int) -> tuple:
+    """The patterns left after dropping each one that the others imply.
+
+    ``patterns`` are ascending window offsets (see :func:`_window_domains`).
+    Walking from the last (widest) pattern to the first, P is dropped when
+    some cell c outside P has, for each of its ``msz`` values v, a kept
+    pattern R + {c: v} with R a proper sub-pattern of P: resolving c's
+    at-least-one clause with those patterns' clauses yields a clause that
+    subsumes P's, so the formula keeps its models. A drop only shrinks what
+    covers a pattern, so one pass leaves nothing more to drop. The kept
+    patterns keep their order.
+    """
+    # follows[(cell, rest)]: kept patterns' offsets in that cell, rest the
+    # pattern's other offsets.
+    follows: dict = {}
+    for pat in patterns:
+        for i, o in enumerate(pat):
+            follows.setdefault((o // msz, pat[:i] + pat[i + 1 :]), set()).add(o)
+    kept = []
+    for pat in reversed(patterns):
+        cells = {o // msz for o in pat}
+        subs = [rest for size in range(len(pat)) for rest in combinations(pat, size)]
+        for c in range(6):
+            if c in cells:
+                continue
+            if len(set().union(*[follows.get((c, rest), ()) for rest in subs])) == msz:
+                for i, o in enumerate(pat):
+                    follows[o // msz, pat[:i] + pat[i + 1 :]].discard(o)
+                break
+        else:
+            kept.append(pat)
+    return tuple(reversed(kept))
+
+
 def _single_getter(offset: int):
     # itemgetter with one index returns the item itself, not a 1-tuple.
     return lambda lits: (lits[offset],)
@@ -264,15 +301,16 @@ _window_memo: dict = {}
 
 
 def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
-    """Legal windows and minimal blocked patterns of ``m``.
+    """Legal windows and the window patterns that :func:`encode` emits.
 
     Both depend on the machine alone, not on the input or p, so they are
     computed once per machine content and kept in a bounded memo; this memo
     is the only place :func:`legal_windows` and :func:`encode` get them
     from. The key is the machine's full content, so separately built equal
     machines share an entry. The windows are a frozenset of
-    :class:`WindowTemplate`; the patterns are the value tuples of
-    :func:`blocked_patterns` over :func:`_window_domains`, as window offsets.
+    :class:`WindowTemplate`; the patterns are the :func:`_irredundant`
+    subset of the value tuples of :func:`blocked_patterns` over
+    :func:`_window_domains`, as window offsets, in their original order.
     """
     key = (
         m.states,
@@ -289,7 +327,8 @@ def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
         symbols = _tableau_symbols(m)
         msz = len(symbols)
         legal = _window_offsets(windows, symbols)
-        patterns = tuple(vals for _, vals in blocked_patterns(legal, _window_domains(msz)))
+        primes = [vals for _, vals in blocked_patterns(legal, _window_domains(msz))]
+        patterns = _irredundant(primes, msz)
         if len(_window_memo) >= _WINDOW_MEMO_SIZE:
             _window_memo.pop(next(iter(_window_memo)), None)
         got = _window_memo[key] = (windows, patterns)
@@ -320,8 +359,10 @@ def encode(
     ``windows`` selects the move constraints emitted at each of the
     (p-1)(p-2) window positions:
 
-    * ``"compact"`` (default): one clause per minimal blocked pattern (see
-      :func:`blocked_patterns`), at most 6 literals each. The formula is
+    * ``"compact"`` (default): one clause per pattern of an irredundant
+      subset of the minimal blocked patterns (see :func:`blocked_patterns`),
+      at most 6 literals each; each prime left out is a resolvent of a
+      cell's at-least-one clause with kept patterns' clauses. The formula is
       logically equivalent to the full one over the same variables, so it
       has the same models and the same lexicographically first witness.
       ``max_clauses`` bounds the exact number of clauses emitted, checked

@@ -713,8 +713,8 @@ def test_readme_demo_block_runs_as_commented(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "YES\n"
     _, code, out = runs.pop("ACCEPT")
     assert (code, out.splitlines()[-1]) == (0, "ACCEPT")
-    _, code, out = runs.pop("1296 vars, 259851 clauses")
-    assert (code, out) == (0, "tableau 9x9: 1296 vars, 259851 clauses\n")
+    _, code, out = runs.pop("1296 vars, 137379 clauses")
+    assert (code, out) == (0, "tableau 9x9: 1296 vars, 137379 clauses\n")
     # The two commands without a comment write the files they name.
     assert [code for _, code, _ in runs.values()] == [0, 0]
     assert all(Path(name).stat().st_size for name in ("g.dot", "inst.json", "enc.cnf", "vars.json"))

@@ -30,10 +30,14 @@ from satkit.turing import (
 from support import (
     TABLEAU_BATTERY,
     blocked_patterns_reference,
+    branching_acceptor,
+    edge_bouncer,
     legal_windows_reference,
     machine_inputs,
     one_step_acceptor,
     paper_walker_wrapped,
+    prefix_11_acceptor,
+    right_drifter,
     row_successors,
     tableau_battery,
 )
@@ -117,7 +121,8 @@ def test_encode_compact_clause_count_and_guard():
     f, spec = encode(m, "1", p)
     msz = spec.num_symbols
     legal = {w.top + w.bottom for w in legal_windows(m)}
-    patterns = blocked_patterns(legal, [spec.symbols] * 6)
+    patterns = cooklevin._window_constraints(m)[1]
+    assert len(patterns) < len(blocked_patterns(legal, [spec.symbols] * 6))
     emitted = (
         p * p * (1 + math.comb(msz, 2))  # per-cell exactly-one
         + p  # pinned initial row
@@ -131,7 +136,7 @@ def test_encode_compact_clause_count_and_guard():
     with pytest.raises(BudgetExceededError, match="encoding"):
         encode(m, "1", p, max_clauses=emitted - 1)
     with pytest.raises(BudgetExceededError):
-        encode(m, "1", p, max_clauses=1000)
+        encode(m, "1", p, max_clauses=900)
     # a huge tableau is refused before any clause is built
     with pytest.raises(BudgetExceededError):
         encode(m, "1", 10**6)
@@ -173,7 +178,8 @@ def _unblocked_windows(blocked, universe):
 
 def _check_blocked_patterns_lemma(m):
     """The compact encoding's lemma at the window level: the minimal blocked
-    patterns of ``m`` cut exactly its illegal windows."""
+    patterns of ``m``, and the irredundant subset of them that encode
+    emits, cut exactly its illegal windows."""
     universe = _universe(m)
     legal = {w.top + w.bottom for w in legal_windows(m)}
     patterns = blocked_patterns(legal, [universe] * 6)
@@ -200,6 +206,24 @@ def _check_blocked_patterns_lemma(m):
     # every illegal window contains a pattern: the windows no pattern cuts
     # are exactly the legal ones
     assert _unblocked_windows(blocked, universe) == legal
+
+    # The patterns encode emits are window offsets: cell c holding universe
+    # symbol s is c * msz + s. They are a subsequence of the primes over
+    # those offsets, keep every one-cell prime, and, read back as (cells,
+    # symbols), still cut exactly the illegal windows.
+    msz = len(universe)
+    emitted = cooklevin._window_constraints(m)[1]
+    offsets = {tuple(c * msz + universe.index(s) for c, s in enumerate(w)) for w in legal}
+    domains = [range(c * msz, (c + 1) * msz) for c in range(6)]
+    primes = [vals for _, vals in blocked_patterns(offsets, domains)]
+    rest = iter(primes)
+    assert all(pattern in rest for pattern in emitted)
+    assert {vals for vals in primes if len(vals) == 1} <= set(emitted)
+    cut = {
+        (tuple(o // msz for o in vals), tuple(universe[o % msz] for o in vals))
+        for vals in emitted
+    }
+    assert _unblocked_windows(cut, universe) == legal
 
     # Mutations the check must catch. A one-cell pattern is the only pattern
     # that matches a legal window with that one cell changed to its value
@@ -269,17 +293,75 @@ def test_blocked_patterns_match_reference_on_machines(machine):
 
 
 @pytest.mark.parametrize(
-    "machine, word, p, digest",
+    "machine, primes, kept",
     [
-        (paper_walker_wrapped, "a", 5, "e8c405db0bd7c82c1a909b8e3e77c4343ca124dd"),
-        (build_equality_checker, "1#1", 9, "895b780b58fcf8cd9fc58d3b59d87b6812ba6443"),
+        (one_step_acceptor, 160, 112),
+        (right_drifter, 199, 117),
+        (branching_acceptor, 210, 150),
+        (prefix_11_acceptor, 273, 187),
+        (edge_bouncer, 307, 199),
+        (paper_walker_wrapped, 861, 499),
+        (build_equality_checker, 4465, 2278),
     ],
 )
-def test_encode_clauses_are_pinned(machine, word, p, digest):
-    # sha1 of the clause tuple of the grow-by-every-value search: the join
-    # must emit the same clauses in the same order
-    f, _ = encode(machine(), word, p)
-    assert hashlib.sha1(repr(f.clauses).encode()).hexdigest() == digest
+def test_irredundant_pattern_counts_are_pinned(machine, primes, kept):
+    m = machine()
+    legal = {w.top + w.bottom for w in legal_windows(m)}
+    assert len(blocked_patterns(legal, [_universe(m)] * 6)) == primes
+    assert len(cooklevin._window_constraints(m)[1]) == kept
+
+
+def _all_primes(patterns, msz):
+    # stands in for cooklevin._irredundant: encode then emits every prime
+    return tuple(patterns)
+
+
+@pytest.mark.parametrize(
+    "machine, word, p, all_primes, digest",
+    [
+        (
+            paper_walker_wrapped, "a", 5,
+            "e8c405db0bd7c82c1a909b8e3e77c4343ca124dd",
+            "86f41b6e9e3f09e5b61105e2ccd4fb777b286336",
+        ),
+        (
+            build_equality_checker, "1#1", 9,
+            "895b780b58fcf8cd9fc58d3b59d87b6812ba6443",
+            "3589a19a9a9b7815ad11f7a6e108c7194c84ccbb",
+        ),
+    ],
+)
+def test_encode_clauses_are_pinned(machine, word, p, all_primes, digest, fresh_memo, monkeypatch):
+    # sha1 of the clause tuple: as encode emits it (the irredundant subset of
+    # the primes), and with every prime emitted, which is the list encode gave
+    # before the irredundant cover, byte for byte
+    def sha1():
+        f, _ = encode(machine(), word, p)
+        return hashlib.sha1(repr(f.clauses).encode()).hexdigest()
+
+    assert sha1() == digest
+    fresh_memo.clear()
+    monkeypatch.setattr(cooklevin, "_irredundant", _all_primes)
+    assert sha1() == all_primes
+
+
+def test_irredundant_cover_keeps_oracle_results_on_battery(fresh_memo, monkeypatch):
+    # the reduced and the all-primes encodings have the same models, so the
+    # oracle gives the same verdict and the same first witness on each
+    combos = [
+        (m, w, p)
+        for m in tableau_battery()
+        for w in machine_inputs(m, 2)
+        for p in (len(w) + 3, len(w) + 4)
+    ]
+    reduced = [encode(*combo)[0] for combo in combos]
+    fresh_memo.clear()
+    monkeypatch.setattr(cooklevin, "_irredundant", _all_primes)
+    for combo, f in zip(combos, reduced):
+        primes = encode(*combo)[0]
+        assert len(f.clauses) < len(primes.clauses)
+        expected = brute_force_sat(primes, max_vars=primes.num_vars)
+        assert brute_force_sat(f, max_vars=f.num_vars) == expected, combo
 
 
 def test_compact_matches_full_on_battery():
