@@ -2,11 +2,12 @@
 
 A CLI command runs in a fresh interpreter, and ``dataclasses`` costs it the
 ``inspect`` import plus compiling each decorated class's methods. A
-:class:`Record` subclass names its fields in ``_fields`` and gets what
-``@dataclass(frozen=True)`` gave: construction by position or keyword, a
-``Name(field=value, ...)`` repr, ``==`` and ``hash`` over the compared
-fields between instances of one class, and ``AttributeError`` on assignment
-or deletion. A subclass's own ``__init__`` sets fields with
+:class:`Record` subclass's fields are its own class annotations, in order
+(``_fields``); class attributes without an annotation are not fields. It
+gets what ``@dataclass(frozen=True)`` gave: construction by position or
+keyword, a ``Name(field=value, ...)`` repr, ``==`` and ``hash`` over the
+compared fields between instances of one class, and ``AttributeError`` on
+assignment or deletion. A subclass's own ``__init__`` sets fields with
 ``object.__setattr__``.
 """
 
@@ -14,14 +15,19 @@ from operator import attrgetter
 
 
 class Record:
-    _fields: tuple[str, ...]  # set by every subclass, in repr order
+    _fields: tuple[str, ...]  # the subclass's annotated names, in repr order
     _compared: tuple[str, ...]  # what == and hash read; defaults to _fields
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # A plain callable, not a method: self._key(obj) is the tuple of
-        # obj's compared values (every record compares at least two).
-        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
+        # The class's own namespace: a class without annotations has none
+        # there, and cls.__annotations__ could answer with a base's.
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not fields:
+            raise TypeError(f"{cls.__name__} declares no fields: annotate them in the class body")
+        # _key is a plain callable, not a method: self._key(obj) is the tuple
+        # of obj's compared values (every record compares at least two).
+        cls._fields, cls._key = fields, attrgetter(*cls.__dict__.get("_compared", fields))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -48,7 +48,7 @@ from typing import NamedTuple
 from ._record import Record
 from .errors import BudgetExceededError
 from .formula import Assignment, CnfFormula
-from .turing import BLANK, Configuration, MachineSpec, step
+from .turing import BLANK, Configuration, MachineSpec, initial_configuration, step
 
 BOUNDARY = ("#",)
 
@@ -112,9 +112,10 @@ def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
             for left in [(), *((x,) for x in tape)]:
                 config = Configuration(left + (a,), len(left), q)
                 edge, before = ((), [hidden] * 2) if left else ((BOUNDARY,), [])
-                top = (edge + _cells(config))[:3]
+                width = 3 - len(edge)
+                top = edge + _cells(config, width)
                 for i in range(len(m.options(q, a))):
-                    bottom = (edge + _cells(step(m, config, i)))[:3]
+                    bottom = edge + _cells(step(m, config, i), width)
                     strip = before + [[pair] for pair in zip(top, bottom)] + [hidden] * 2
                     for start in range(len(strip) - 2):
                         for cells in product(*strip[start : start + 3]):
@@ -122,24 +123,25 @@ def _legal_windows(m: MachineSpec) -> set[WindowTemplate]:
     return legal
 
 
-def _cells(c: Configuration) -> tuple:
-    """Tableau cells of a configuration: its tape with the state symbol just
-    left of the head, padded with blanks to three cells (a configuration
-    drops the blanks past its head)."""
+def _cells(c: Configuration, width: int) -> tuple:
+    """The first ``width`` tableau cells of a configuration: its tape with the
+    state symbol just left of the head, padded with blanks (a configuration
+    drops the blanks past its head). The window rules take three cells;
+    :func:`encode` takes row 1, the start configuration, as p-2 cells."""
     cells = [tape_symbol(s) for s in c.tape]
     cells.insert(c.head, state_symbol(c.state))
-    return tuple(cells + [tape_symbol(BLANK)] * (3 - len(cells)))
+    return tuple(cells[:width] + [tape_symbol(BLANK)] * (width - len(cells)))
 
 
 class TableauSpec(Record):
     """Variable bookkeeping for one encoding: bijection (row, col, symbol) -> var."""
 
-    _fields = ("p", "symbols", "machine", "input_symbols")
     p: int
     symbols: tuple
     machine: MachineSpec
     input_symbols: tuple[str, ...]
-    index: dict  # derived from symbols; not a field, so not in repr or ==
+    # index, symbol -> position in symbols, is set by __init__; it is not
+    # annotated, so it is not a field and stays out of repr and ==.
 
     def __init__(self, p: int, symbols: tuple, machine: MachineSpec,
                  input_symbols: tuple[str, ...]):
@@ -344,6 +346,12 @@ def _window_offsets(windows, symbols) -> frozenset:
     )
 
 
+def _refusal(count: str, max_clauses: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"{count} exceed the encoding budget of {max_clauses:,}; shrink the machine or p"
+    )
+
+
 def encode(
     m: MachineSpec,
     input_symbols: str | list[str],
@@ -354,7 +362,9 @@ def encode(
     """CNF formula satisfiable iff ``m`` accepts the input within the tableau.
 
     Requires p >= len(input) + 3 (boundaries, the state cell, and the
-    input). Variable count is exactly p^2 * |symbol universe|.
+    input). Variable count is exactly p^2 * |symbol universe|. Row 1 is
+    ``turing.initial_configuration`` (which also checks the input alphabet)
+    rendered by :func:`_cells` as p-2 cells between two boundaries.
 
     ``windows`` selects the move constraints emitted at each of the
     (p-1)(p-2) window positions:
@@ -366,7 +376,9 @@ def encode(
       logically equivalent to the full one over the same variables, so it
       has the same models and the same lexicographically first witness.
       ``max_clauses`` bounds the exact number of clauses emitted, checked
-      before any clause is built.
+      before any clause is built. The clauses that need no pattern are
+      counted first, so a tableau they already put over the budget is
+      refused before a new machine's patterns are computed.
     * ``"full"``: the paper-literal encoding, one 6-literal clause per
       illegal window content, about |universe|^6 per position.
       ``max_clauses`` bounds (p-1)(p-2) * |universe|^6.
@@ -382,9 +394,7 @@ def encode(
     if windows not in ("compact", "full"):
         raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")
     symbols = tuple(input_symbols)
-    bad = [s for s in symbols if s not in m.input_alphabet]
-    if bad:
-        raise ValueError(f"input symbols {bad!r} not in the input alphabet")
+    start = initial_configuration(m, symbols)
     if p < len(symbols) + 3:
         raise ValueError(f"p={p} too small: need at least {len(symbols) + 3}")
     spec = TableauSpec(p, _tableau_symbols(m), m, symbols)
@@ -394,20 +404,18 @@ def encode(
     if windows == "full":
         move_clause_bound = positions * msz**6
         if move_clause_bound > max_clauses:
-            raise BudgetExceededError(
-                f"about {move_clause_bound:,} move clauses exceed the encoding "
-                f"budget of {max_clauses:,}; shrink the machine or p"
-            )
+            raise _refusal(f"about {move_clause_bound:,} move clauses", max_clauses)
         legal = _window_offsets(_window_constraints(m)[0], spec.symbols)
         patterns = [w for w in product(*_window_domains(msz)) if w not in legal]
     else:
+        # exactly-one per cell, row 1 and the accept clause: no pattern needed
+        fixed = p * p * (1 + msz * (msz - 1) // 2) + p + 1
+        if fixed > max_clauses:
+            raise _refusal(f"at least {fixed:,} clauses", max_clauses)
         _, patterns = _window_constraints(m)
-        total = p * p * (1 + msz * (msz - 1) // 2) + p + 1 + positions * len(patterns)
+        total = fixed + positions * len(patterns)
         if total > max_clauses:
-            raise BudgetExceededError(
-                f"{total:,} clauses exceed the encoding budget of {max_clauses:,}; "
-                f"shrink the machine or p"
-            )
+            raise _refusal(f"{total:,} clauses", max_clauses)
 
     clauses: list[tuple[int, ...]] = []
 
@@ -420,13 +428,9 @@ def encode(
         clauses.append(tuple(pos[first : first + msz]))
         clauses.extend(combinations(neg[first : first + msz], 2))
 
-    row1 = (
-        [BOUNDARY, state_symbol(m.q0)]
-        + [tape_symbol(s) for s in symbols]
-        + [tape_symbol(BLANK)] * (p - 3 - len(symbols))
-        + [BOUNDARY]
-    )
-    for col, sym in enumerate(row1, start=1):
+    # Row 1 is the start configuration between boundaries. At p-2 cells it
+    # loses only the blank an empty input's configuration holds when p=3.
+    for col, sym in enumerate((BOUNDARY, *_cells(start, p - 2), BOUNDARY), start=1):
         clauses.append((pos[spec.var(1, col, sym)],))
 
     # The accept state's variable in every cell, cell by cell.

@@ -39,7 +39,6 @@ def _check_clauses(clauses, num_vars: int) -> None:
 class CnfFormula(Record):
     """Conjunction of disjunctive clauses over variables 1..num_vars."""
 
-    _fields = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[Clause, ...]
 
@@ -64,7 +63,6 @@ class CnfFormula(Record):
 class DnfFormula(Record):
     """Disjunction of conjunctive terms; same literal conventions as CNF."""
 
-    _fields = ("num_vars", "terms")
     num_vars: int
     terms: tuple[Clause, ...]
 

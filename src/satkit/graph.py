@@ -57,7 +57,6 @@ def _sorted_neighbours(g: Graph | Digraph) -> dict[str, list[str]]:
 
 class Graph(Record):
     directed = False  # a class attribute, not a field
-    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]  # stored with endpoints sorted
 
@@ -74,7 +73,6 @@ class Graph(Record):
 
 class Digraph(Record):
     directed = True
-    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 

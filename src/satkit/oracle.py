@@ -30,7 +30,6 @@ DEFAULT_MAX_VARS = 24
 
 
 class SatResult(Record):
-    _fields = ("satisfiable", "witness")
     satisfiable: bool
     witness: Assignment | None
 

@@ -76,7 +76,6 @@ class CliqueInstance(Record):
     json_extras = ("k", "vertex_index", "clause_slots")
     summary_extras = ("k",)
     witness_key, witness_container, witness_entry = "vertices", list, str
-    _fields = ("graph", "k", "vertex_index", "clause_slots", "formula", "padded")
     graph: Graph
     k: int
     vertex_index: dict[str, tuple[int, int, int]]  # label -> (var, clause, sign)
@@ -191,8 +190,6 @@ class HamCycleInstance(Record):
     json_extras = ("strict", "subpath_index", "clause_vertices", "source", "target")
     summary_extras = ()
     witness_key, witness_container, witness_entry = "cycle", list, str
-    _fields = ("graph", "subpath_index", "clause_vertices", "source", "target", "strict",
-               "formula", "padded")
     graph: Digraph
     subpath_index: dict[tuple[int, int], str]  # (var, position 1..2k) -> label
     clause_vertices: dict[int, str]
@@ -344,7 +341,6 @@ class ColoringInstance(Record):
     json_extras = ("special", "literal_vertices", "gadget_vertices")
     summary_extras = ()
     witness_key, witness_container, witness_entry = "coloring", dict, int
-    _fields = ("graph", "special", "literal_vertices", "gadget_vertices", "formula", "padded")
     graph: Graph
     special: tuple[str, str, str]  # (T, F, B)
     literal_vertices: dict[int, str]

@@ -20,7 +20,6 @@ from .formula import Assignment, CnfFormula, evaluate
 
 
 class ThreeCnfResult(Record):
-    _fields = ("formula", "fresh_vars", "original_num_vars")
     formula: CnfFormula
     fresh_vars: tuple[tuple[int, ...], ...]  # per original clause index
     original_num_vars: int

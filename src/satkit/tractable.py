@@ -32,7 +32,6 @@ from .oracle import SatResult
 class ImplicationGraph(Record):
     """Digraph over the 2·num_vars literal vertices of a 2-CNF formula."""
 
-    _fields = ("num_vars", "digraph")
     num_vars: int
     digraph: Digraph
 
@@ -136,13 +135,8 @@ def solve_2sat(f: CnfFormula) -> SatResult:
 class UpResult(Record):
     """Fixpoint of unit propagation: the reduced formula plus forced values."""
 
-    _fields = ("reduced", "forced")
     reduced: CnfFormula
     forced: Assignment
-
-    def __init__(self, reduced: CnfFormula, forced: Assignment):
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "forced", forced)
 
 
 def unit_propagate(f: CnfFormula) -> UpResult:

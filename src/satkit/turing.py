@@ -36,7 +36,6 @@ Verdict = Literal["accept", "reject", "step_limit_exceeded"]
 
 
 class MachineSpec(Record):
-    _fields = ("states", "input_alphabet", "tape_alphabet", "delta", "q0", "q_accept", "q_reject")
     states: frozenset[str]
     input_alphabet: frozenset[str]
     tape_alphabet: frozenset[str]
@@ -104,7 +103,6 @@ def _canon_tape(cells: tuple[str, ...], head: int) -> tuple[str, ...]:
 
 
 class Configuration(Record):
-    _fields = ("tape", "head", "state")
     tape: tuple[str, ...]
     head: int
     state: str
@@ -131,7 +129,6 @@ class Configuration(Record):
 
 
 class RunOutcome(Record):
-    _fields = ("verdict", "steps_used", "final", "trace")
     _compared = ("verdict", "steps_used", "final")  # trace shows in repr only
     verdict: Verdict
     steps_used: int

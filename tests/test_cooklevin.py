@@ -14,6 +14,7 @@ from satkit.cooklevin import (
     decode_tableau,
     encode,
     legal_windows,
+    render_symbol,
     state_symbol as Q,
     tape_symbol as G,
 )
@@ -96,6 +97,25 @@ def test_encode_clause_count_formula():
         + (p - 1) * (p - 2) * (msz**6 - legal)
     )
     assert len(f.clauses) == expected
+
+
+@pytest.mark.parametrize(
+    "word, p, row",
+    [
+        ("", 3, "# q0 #"),  # p-2 cells drop the blank of the empty input's configuration
+        ("", 4, "# q0 _ #"),
+        ("11", 5, "# q0 1 1 #"),  # the input fills the row: no padding
+    ],
+)
+def test_row_one_is_the_start_configuration(word, p, row):
+    f, spec = encode(one_step_acceptor(), word, p)
+    # the row-1 pins are the only positive unit clauses
+    pinned = {}
+    for clause in f.clauses:
+        if len(clause) == 1 and clause[0] > 0:
+            r, col, sym = spec.cell_of(clause[0])
+            pinned[r, col] = render_symbol(sym)
+    assert pinned == {(1, col): s for col, s in enumerate(row.split(), start=1)}
 
 
 def test_encode_guards():
@@ -640,6 +660,26 @@ def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo):
     with pytest.raises(BudgetExceededError, match="encoding"):
         encode(build_equality_checker(), "1#1", 9, windows="full")
     assert not fresh_memo
+
+
+def test_compact_budget_refuses_before_computing_patterns(fresh_memo):
+    m = one_step_acceptor()
+    p = 4
+    msz = len(m.states) + len(m.tape_alphabet) + 1
+    fixed = p * p * (1 + math.comb(msz, 2)) + p + 1  # clauses that need no pattern
+    with pytest.raises(BudgetExceededError) as err:
+        encode(m, "1", p, max_clauses=fixed - 1)
+    assert str(err.value) == (
+        f"at least {fixed:,} clauses exceed the encoding budget of {fixed - 1:,}; "
+        "shrink the machine or p"
+    )
+    with pytest.raises(BudgetExceededError, match="^at least"):
+        encode(m, "1", 10**6)
+    assert not fresh_memo
+    # at the pattern-free count itself the patterns are computed and counted
+    with pytest.raises(BudgetExceededError, match=r"^[\d,]+ clauses exceed"):
+        encode(m, "1", p, max_clauses=fixed)
+    assert len(fresh_memo) == 1
 
 
 def test_battery_encodings_same_on_memo_miss_and_hit(fresh_memo):
