@@ -22,12 +22,11 @@ _SUBMODULE_EXPORTS = {
     ),
     "graph": (
         "Digraph", "Graph", "find_clique", "find_hamiltonian_cycle", "find_k_coloring",
-        "is_bipartite", "strongly_connected_components", "to_dot", "verify_clique",
-        "verify_coloring", "verify_hamiltonian_cycle",
+        "is_bipartite", "to_dot", "verify_clique", "verify_coloring",
+        "verify_hamiltonian_cycle",
     ),
     "tractable": (
-        "ImplicationGraph", "UpResult", "build_implication_graph", "solve_2sat", "solve_dnf",
-        "solve_horn", "unit_propagate",
+        "UpResult", "solve_2sat", "solve_dnf", "solve_horn", "unit_propagate",
     ),
     "threecnf": ("ThreeCnfResult", "project_witness", "to_3cnf"),
     "reductions": (
@@ -38,8 +37,7 @@ _SUBMODULE_EXPORTS = {
     ),
     "turing": (
         "BLANK", "Configuration", "MachineSpec", "RunOutcome", "build_equality_checker",
-        "decode_multitape", "encode_multitape", "format_machine", "parse_machine", "run_dtm",
-        "run_ntm", "step",
+        "format_machine", "parse_machine", "run_dtm", "run_ntm", "step",
     ),
     "cooklevin": (
         "BOUNDARY", "TableauSpec", "WindowTemplate", "decode_tableau", "encode",

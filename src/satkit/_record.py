@@ -9,9 +9,19 @@ keyword, a ``Name(field=value, ...)`` repr, ``==`` and ``hash`` over the
 compared fields between instances of one class, and ``AttributeError`` on
 assignment or deletion. A subclass's own ``__init__`` sets fields with
 ``object.__setattr__``.
+
+The repr prints a ``frozenset`` field's elements sorted by their repr. A
+set of strings iterates in hash order, which changes with the process's
+string-hash seed, so the built-in repr would differ between runs.
 """
 
 from operator import attrgetter
+
+
+def _field_repr(value) -> str:
+    if isinstance(value, frozenset) and value:
+        return f"frozenset({{{', '.join(sorted(map(repr, value)))}}})"
+    return repr(value)
 
 
 class Record:
@@ -38,7 +48,7 @@ class Record:
             object.__setattr__(self, name, values[name])
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        body = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
 
     def __eq__(self, other):

@@ -10,8 +10,7 @@ fixed vertex budgets of 40, 32 and 24, past which they raise
 `BudgetExceededError`, and deterministic, first-in-canonical-order results.
 
 Strongly connected components come from one iterative Tarjan kernel over
-int vertices, :func:`tarjan_scc`. :func:`strongly_connected_components` is
-a label view over it, and the 2-SAT solver calls it directly on literal
+int vertices, :func:`tarjan_scc`, which the 2-SAT solver calls on literal
 indices. Its visiting order (roots by index, successors in list order) is
 part of its contract, because 2-SAT witnesses depend on it.
 """
@@ -136,28 +135,6 @@ def tarjan_scc(succ: list[list[int]]) -> tuple[list[int], int]:
                     if low[v] < low[u]:
                         low[u] = low[v]
     return comp, count
-
-
-def strongly_connected_components(
-    g: Digraph,
-) -> tuple[list[frozenset[str]], dict[str, int]]:
-    """Tarjan SCCs plus a topological index map over the condensation.
-
-    Returns ``(components, comp)`` where ``components`` is the partition in
-    reverse topological order of the condensation, and ``comp[u] <= comp[v]``
-    whenever a path u→v exists (equality exactly within one component).
-    A label view over :func:`tarjan_scc`: vertices are visited in
-    ``g.vertices`` order, successors in sorted label order.
-    """
-    at = {v: i for i, v in enumerate(g.vertices)}
-    succ = [[at[w] for w in heads] for heads in g.successors().values()]
-    emitted, count = tarjan_scc(succ)
-    members: list[list[str]] = [[] for _ in range(count)]
-    for v, c in zip(g.vertices, emitted):
-        members[c].append(v)
-    last = count - 1
-    comp = {v: last - c for v, c in zip(g.vertices, emitted)}
-    return [frozenset(m) for m in members], comp
 
 
 def is_bipartite(g: Graph) -> Coloring | None:

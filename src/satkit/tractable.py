@@ -8,9 +8,9 @@ comp[x] < comp[¬x] in topological order (Aspvall–Plass–Tarjan).
 :func:`solve_2sat` builds the graph as int adjacency lists over literal
 indices (v at 2(v-1), ¬v at 2(v-1)+1) and runs the shared Tarjan kernel
 :func:`satkit.graph.tarjan_scc`. The witness depends on DFS order, so the
-roots are tried 1, ¬1, 2, ¬2, ... and each vertex's successors in string
-label order: the same order :func:`strongly_connected_components` uses on
-the labelled reference graph from :func:`build_implication_graph`.
+roots are tried 1, ¬1, 2, ¬2, ... and each vertex's successors in the
+order of their string labels ``str(lit)``: the order of the labelled
+reference graph that the tests check it against.
 
 Horn satisfiability is counter-based forward chaining (Dowling–Gallier):
 occurrence lists from each body variable to its clauses, a per-clause count
@@ -25,56 +25,15 @@ from __future__ import annotations
 
 from ._record import Record
 from .formula import Assignment, CnfFormula, DnfFormula, is_horn, is_tautology, max_clause_width
-from .graph import Digraph, tarjan_scc
+from .graph import tarjan_scc
 from .oracle import SatResult
 
 
-class ImplicationGraph(Record):
-    """Digraph over the 2·num_vars literal vertices of a 2-CNF formula."""
-
-    num_vars: int
-    digraph: Digraph
-
-    def label(self, lit: int) -> str:
-        if lit == 0 or abs(lit) > self.num_vars:
-            raise ValueError(f"literal {lit} out of range")
-        return str(lit)
-
-    def lit(self, label: str) -> int:
-        return int(label)
-
-
-def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
-    """Implication graph of a formula of width <= 2 (no empty clauses).
-
-    The labelled reference for :func:`solve_2sat`, which builds the same
-    graph over int literal indices.
-    """
-    if max_clause_width(f) > 2:
-        raise ValueError("implication graph requires clause width <= 2")
-    if any(not c for c in f.clauses):
-        raise ValueError("empty clause: formula is unsatisfiable as given")
-    vertices = []
-    for v in range(1, f.num_vars + 1):
-        vertices.append(str(v))
-        vertices.append(str(-v))
-    edges = set()
-    for clause in f.clauses:
-        x = clause[0]
-        y = clause[1] if len(clause) == 2 else clause[0]
-        # A tautological clause (x or not-x) would yield self-loop
-        # implications, which constrain nothing; skip them.
-        if x != -y:
-            edges.add((str(-x), str(y)))
-            edges.add((str(-y), str(x)))
-    return ImplicationGraph(f.num_vars, Digraph(vertices, edges))
-
-
 # _label_rank[i] orders literal index i (literal v at 2(v-1), -v at
-# 2(v-1)+1) by the string label str(lit), as the labelled implication
-# graph sorts successors. Relative order does not depend on how many
-# variables are ranked, so one table, grown on demand and never mutated
-# once published, serves every formula and every caller.
+# 2(v-1)+1) by the string label str(lit), as the tests' labelled reference
+# implication graph sorts successors. Relative order does not depend on
+# how many variables are ranked, so one table, grown on demand and never
+# mutated once published, serves every formula and every caller.
 _label_rank: list[int] = []
 
 

@@ -1,4 +1,4 @@
-"""Turing machine model, simulators, and the multitape snapshot encoding.
+"""Turing machine model, simulators, and machine description files.
 
 Conventions: the blank symbol is ``_``; a left move at cell 0 keeps the
 head at cell 0; a missing transition is an implicit move to the reject
@@ -27,8 +27,6 @@ from typing import Literal
 from ._record import Record
 
 BLANK = "_"
-DOT_MARK = "̇"  # combining dot above; marks head positions in snapshots
-SEPARATOR = "#"
 
 Direction = Literal["L", "R"]
 Option = tuple[str, str, Direction]
@@ -228,64 +226,6 @@ def run_ntm(
         if not any_live:
             return RunOutcome("reject", halted_steps, last_halted), None
     return RunOutcome("step_limit_exceeded", depth_limit, last_live), None
-
-
-# ---------------------------------------------------------------------------
-# Multitape snapshot encoding
-
-
-def _reserved(symbol: str) -> bool:
-    return symbol == SEPARATOR or DOT_MARK in symbol
-
-
-def encode_multitape(tapes: list[list[str]], heads: list[int]) -> list[str]:
-    """Single-tape snapshot ``# t1 # t2 # ... #`` with dotted head symbols.
-
-    An empty tape is shown as one blank cell carrying the head dot; heads
-    must lie within their tape (or at 0 for an empty tape).
-    """
-    if len(tapes) != len(heads):
-        raise ValueError("one head position per tape required")
-    out = [SEPARATOR]
-    for tape, head in zip(tapes, heads):
-        cells = list(tape) if tape else [BLANK]
-        for s in cells:
-            if _reserved(s):
-                raise ValueError(f"symbol {s!r} is reserved for the encoding")
-        if not 0 <= head < len(cells):
-            raise ValueError(f"head {head} outside tape of length {len(cells)}")
-        cells[head] = cells[head] + DOT_MARK
-        out += cells
-        out.append(SEPARATOR)
-    return out
-
-
-def decode_multitape(encoded: list[str]) -> tuple[list[list[str]], list[int]]:
-    """Exact inverse of :func:`encode_multitape` on canonical snapshots."""
-    if not encoded or encoded[0] != SEPARATOR or encoded[-1] != SEPARATOR:
-        raise ValueError("snapshot must start and end with the separator")
-    tapes: list[list[str]] = []
-    heads: list[int] = []
-    segment: list[str] = []
-    for symbol in encoded[1:]:
-        if symbol == SEPARATOR:
-            if not segment:
-                raise ValueError("empty segment between separators")
-            dotted = [i for i, s in enumerate(segment) if s.endswith(DOT_MARK)]
-            if len(dotted) != 1:
-                raise ValueError("each tape segment needs exactly one head dot")
-            head = dotted[0]
-            segment[head] = segment[head][: -len(DOT_MARK)]
-            if any(_reserved(s) for s in segment):
-                raise ValueError("stray reserved symbol inside a segment")
-            tapes.append(segment)
-            heads.append(head)
-            segment = []
-        else:
-            segment.append(symbol)
-    if segment:
-        raise ValueError("snapshot does not end at a separator")
-    return tapes, heads
 
 
 # ---------------------------------------------------------------------------

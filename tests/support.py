@@ -12,6 +12,7 @@ import re
 
 from satkit.cooklevin import BOUNDARY, WindowTemplate, state_symbol, tape_symbol
 from satkit.formula import CnfFormula, DnfFormula, count_satisfied
+from satkit.graph import Digraph, tarjan_scc
 from satkit.turing import (
     BLANK,
     Configuration,
@@ -87,6 +88,41 @@ def scc_by_closure(vertices, edges):
         seen |= part
         parts.append(part)
     return set(parts)
+
+
+def scc_reference(g: Digraph):
+    """Tarjan SCCs of a labelled digraph plus a topological index map.
+
+    Returns ``(components, comp)``: the partition in reverse topological
+    order of the condensation, and ``comp[u] <= comp[v]`` whenever a path
+    u→v exists (equal exactly within one component). A label view over
+    ``graph.tarjan_scc``: vertices are visited in ``g.vertices`` order,
+    successors in sorted label order.
+    """
+    at = {v: i for i, v in enumerate(g.vertices)}
+    succ = [[at[w] for w in heads] for heads in g.successors().values()]
+    emitted, count = tarjan_scc(succ)
+    members = [[] for _ in range(count)]
+    for v, c in zip(g.vertices, emitted):
+        members[c].append(v)
+    last = count - 1
+    comp = {v: last - c for v, c in zip(g.vertices, emitted)}
+    return [frozenset(m) for m in members], comp
+
+
+def implication_graph_reference(f: CnfFormula) -> Digraph:
+    """The 2-SAT implication graph over literal labels ``str(lit)``, vertices
+    1, -1, 2, -2, ...: clause (x or y) gives -x -> y and -y -> x, a unit
+    clause (x) counts as (x or x). A tautology (x or -x) constrains nothing
+    and adds no edge. The formula has width <= 2 and no empty clause."""
+    vertices = [str(lit) for v in range(1, f.num_vars + 1) for lit in (v, -v)]
+    edges = set()
+    for clause in f.clauses:
+        x, y = clause[0], clause[-1]
+        if x != -y:
+            edges.add((str(-x), str(y)))
+            edges.add((str(-y), str(x)))
+    return Digraph(vertices, edges)
 
 
 def adjacency_reference(g):

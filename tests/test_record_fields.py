@@ -53,7 +53,7 @@ def test_unannotated_class_attributes_are_not_fields():
 
 def test_every_record_class_is_in_the_record_cases():
     records = _record_classes()
-    assert len(records) == 15
+    assert len(records) == 14
     assert records == {case[0] for case in CASES}
 
 

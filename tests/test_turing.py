@@ -8,8 +8,6 @@ from satkit.turing import (
     Configuration,
     MachineSpec,
     build_equality_checker,
-    decode_multitape,
-    encode_multitape,
     format_machine,
     initial_configuration,
     parse_machine,
@@ -214,49 +212,6 @@ def test_run_ntm_deep_deterministic_run():
     assert d.verdict == "accept" and d.steps_used > 1000
     assert got == d and got.final == d.final
     assert choices == (1,) * d.steps_used
-
-
-def test_encode_multitape_single():
-    assert encode_multitape([["a", "b"]], [0]) == ["#", "ȧ", "b", "#"]
-
-
-def test_encode_multitape_empty_tapes():
-    snapshot = encode_multitape([[], []], [0, 0])
-    assert snapshot == ["#", BLANK + "̇", "#", BLANK + "̇", "#"]
-    tapes, heads = decode_multitape(snapshot)
-    assert tapes == [[BLANK], [BLANK]] and heads == [0, 0]
-
-
-def test_encode_multitape_rejects_reserved_and_bad_heads():
-    with pytest.raises(ValueError, match="reserved"):
-        encode_multitape([["#"]], [0])
-    with pytest.raises(ValueError, match="reserved"):
-        encode_multitape([["ȧ"]], [0])
-    with pytest.raises(ValueError, match="head"):
-        encode_multitape([["a"]], [1])
-
-
-def test_multitape_round_trip_random():
-    rng = random.Random(15)
-    symbols = ["a", "b", "0", "1", BLANK]
-    for _ in range(200):
-        tapes = []
-        heads = []
-        for _ in range(3):
-            n = rng.randint(1, 5)
-            tapes.append([rng.choice(symbols) for _ in range(n)])
-            heads.append(rng.randrange(n))
-        snapshot = encode_multitape(tapes, heads)
-        assert decode_multitape(snapshot) == (tapes, heads)
-
-
-def test_decode_multitape_rejects_malformed():
-    with pytest.raises(ValueError):
-        decode_multitape(["a", "#"])
-    with pytest.raises(ValueError):
-        decode_multitape(["#", "a", "#"])  # no head dot
-    with pytest.raises(ValueError):
-        decode_multitape(["#", "#"])  # empty segment
 
 
 def test_machine_file_round_trip():
