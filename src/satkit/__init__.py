@@ -36,8 +36,8 @@ _SUBMODULE_EXPORTS = {
         "reduce_to_clique", "reduce_to_hamcycle",
     ),
     "turing": (
-        "BLANK", "Configuration", "MachineSpec", "RunOutcome", "build_equality_checker",
-        "format_machine", "parse_machine", "run_dtm", "run_ntm", "step",
+        "BLANK", "Configuration", "MachineSpec", "RunOutcome", "format_machine", "parse_machine",
+        "run_dtm", "run_ntm", "step",
     ),
     "cooklevin": (
         "BOUNDARY", "TableauSpec", "WindowTemplate", "decode_tableau", "encode",

@@ -138,18 +138,6 @@ class TableauSpec(Record):
 
     p: int
     symbols: tuple
-    machine: MachineSpec
-    input_symbols: tuple[str, ...]
-    # index, symbol -> position in symbols, is set by __init__; it is not
-    # annotated, so it is not a field and stays out of repr and ==.
-
-    def __init__(self, p: int, symbols: tuple, machine: MachineSpec,
-                 input_symbols: tuple[str, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "machine", machine)
-        object.__setattr__(self, "input_symbols", input_symbols)
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(symbols)})
 
     @property
     def num_symbols(self) -> int:
@@ -161,8 +149,8 @@ class TableauSpec(Record):
 
     def sym_index(self, sym) -> int:
         try:
-            return self.index[sym]
-        except KeyError:
+            return self.symbols.index(sym)
+        except ValueError:
             raise ValueError(f"{sym!r} is not in the symbol universe") from None
 
     def var(self, row: int, col: int, sym) -> int:
@@ -397,7 +385,7 @@ def encode(
     start = initial_configuration(m, symbols)
     if p < len(symbols) + 3:
         raise ValueError(f"p={p} too small: need at least {len(symbols) + 3}")
-    spec = TableauSpec(p, _tableau_symbols(m), m, symbols)
+    spec = TableauSpec(p, _tableau_symbols(m))
     msz = spec.num_symbols
     positions = (p - 1) * (p - 2)
 

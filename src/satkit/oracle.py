@@ -182,5 +182,7 @@ def max_sat_decide(f: CnfFormula, k: int, max_vars: int = DEFAULT_MAX_VARS) -> b
         raise ValueError("k must be non-negative")
     if k == 0:
         return True
-    optimum, _ = max_sat_optimum(f, max_vars)
-    return optimum >= k
+    _check_budget(f, max_vars)
+    # k clauses hold iff some assignment falsifies fewer than m - k + 1; the
+    # walk prunes at that ceiling instead of searching for the optimum.
+    return _walk(f, len(f.clauses) - k + 1)[1] is not None

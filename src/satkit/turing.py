@@ -290,51 +290,3 @@ def format_machine(m: MachineSpec) -> str:
         for r, b, d in m.delta[(q, a)]:
             lines.append(f"delta: {q} {a} -> {r} {b} {d}")
     return "\n".join(lines) + "\n"
-
-
-def build_equality_checker() -> MachineSpec:
-    """Decider for the language of two identical strings split by ``#``.
-
-    Crosses off matching symbols on both sides of the separator with ``x``
-    until the left side is exhausted, then accepts iff nothing but crosses
-    remains on the right. Unlisted state/symbol pairs fall through to the
-    implicit reject transition.
-    """
-    delta = {
-        ("A", "1"): [("F1", "x", "R")],
-        ("A", "0"): [("F0", "x", "R")],
-        ("A", "#"): [("C#", "#", "R")],
-        ("F1", "0"): [("F1", "0", "R")],
-        ("F1", "1"): [("F1", "1", "R")],
-        ("F1", "#"): [("C1", "#", "R")],
-        ("F1", BLANK): [("reject", BLANK, "R")],
-        ("F0", "0"): [("F0", "0", "R")],
-        ("F0", "1"): [("F0", "1", "R")],
-        ("F0", "#"): [("C0", "#", "R")],
-        ("F0", BLANK): [("reject", BLANK, "R")],
-        ("C1", "x"): [("C1", "x", "R")],
-        ("C1", "1"): [("B", "x", "L")],
-        ("C1", "0"): [("reject", "0", "L")],
-        ("C0", "x"): [("C0", "x", "R")],
-        ("C0", "0"): [("B", "x", "L")],
-        ("C0", "1"): [("reject", "1", "L")],
-        ("C#", "x"): [("C#", "x", "R")],
-        ("C#", BLANK): [("accept", BLANK, "L")],
-        ("C#", "#"): [("reject", "#", "L")],
-        ("C#", "0"): [("reject", "0", "L")],
-        ("C#", "1"): [("reject", "1", "L")],
-        ("B", "x"): [("B", "x", "L")],
-        ("B", "#"): [("D", "#", "L")],
-        ("D", "1"): [("D", "1", "L")],
-        ("D", "0"): [("D", "0", "L")],
-        ("D", "x"): [("A", "x", "R")],
-    }
-    return MachineSpec(
-        states={"A", "B", "D", "F0", "F1", "C0", "C1", "C#", "accept", "reject"},
-        input_alphabet={"0", "1", "#"},
-        tape_alphabet={"0", "1", "#", "x", BLANK},
-        delta=delta,
-        q0="A",
-        q_accept="accept",
-        q_reject="reject",
-    )

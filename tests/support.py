@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from pathlib import Path
 
 from satkit.cooklevin import BOUNDARY, WindowTemplate, state_symbol, tape_symbol
 from satkit.formula import CnfFormula, DnfFormula, count_satisfied
@@ -19,8 +20,11 @@ from satkit.turing import (
     MachineSpec,
     RunOutcome,
     initial_configuration,
+    parse_machine,
     step,
 )
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
 def all_assignments(num_vars):
@@ -575,6 +579,11 @@ TABLEAU_BATTERY = (
 
 def tableau_battery() -> list[MachineSpec]:
     return [build() for build in TABLEAU_BATTERY]
+
+
+def build_equality_checker() -> MachineSpec:
+    """The README's equality checker, as ``demo/equality.tm`` states it."""
+    return parse_machine((DEMO / "equality.tm").read_text(encoding="utf-8"))
 
 
 def machine_inputs(m: MachineSpec, max_len: int) -> list[str]:

@@ -43,9 +43,10 @@ from satkit.reductions import (
     reduce_to_hamcycle,
 )
 from satkit.tractable import solve_2sat, solve_horn
-from satkit.turing import build_equality_checker, run_dtm, run_ntm
+from satkit.turing import run_dtm, run_ntm
 from support import (
     accepting_space_profiles,
+    build_equality_checker,
     check_dot,
     machine_inputs,
     random_3cnf,

@@ -28,8 +28,8 @@ from satkit.reductions import (
     reduce_to_hamcycle,
 )
 from satkit.tractable import solve_2sat
-from satkit.turing import build_equality_checker, format_machine
-from support import branching_acceptor, one_step_acceptor
+from satkit.turing import format_machine
+from support import branching_acceptor, build_equality_checker, one_step_acceptor
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
 EXAMPLE_33 = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -265,8 +265,6 @@ def test_verify_assignment(tmp_path, cnf31, capsys):
 
 
 def test_tm_run(tmp_path, capsys):
-    from satkit.turing import build_equality_checker
-
     machine = tmp_path / "eq.tm"
     machine.write_text(format_machine(build_equality_checker()))
     assert run_cli(["tm", "run", str(machine), "101#101"]) == 0
@@ -374,6 +372,35 @@ def test_cooklevin_cli_encodes_equality_checker(capsys):
     code = run_cli(["cooklevin", str(DEMO / "equality.tm"), "1#1", "--steps", "9"])
     assert code == 0
     assert capsys.readouterr().out.startswith(f"tableau 9x9: {81 * universe} vars, ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "huge.cnf"], ["solve", "--method", "horn", "huge.cnf"], ["solve", "huge.dnf"]],
+    ids=["2sat", "horn", "dnf"],
+)
+def test_out_of_memory_is_budget_exit(argv, tmp_path):
+    # files of a few bytes declaring a billion variables, under a 256 MiB
+    # address-space cap: never a traceback, never exit 1 (NO)
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is not available here")
+    (tmp_path / "huge.cnf").write_text("p cnf 1000000000 0\n")
+    (tmp_path / "huge.dnf").write_text("p cnf 1000000000 1\n1 0\n")
+    cap = 256 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(satkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from satkit.cli import main; main()", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=limit_memory, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "budget exceeded: out of memory\n"
 
 
 def test_python_m_satkit_cli_runs_main(cnf31):

@@ -23,15 +23,16 @@ from satkit.oracle import brute_force_sat
 from satkit.turing import (
     BLANK,
     MachineSpec,
-    build_equality_checker,
     format_machine,
     parse_machine,
     run_dtm,
 )
 from support import (
+    DEMO,
     TABLEAU_BATTERY,
     blocked_patterns_reference,
     branching_acceptor,
+    build_equality_checker,
     edge_bouncer,
     legal_windows_reference,
     machine_inputs,
@@ -268,12 +269,13 @@ def test_blocked_patterns_block_exactly_the_illegal_windows(machine):
 
 
 def test_satbench_machines_are_lemma_checked():
-    # the benchmark's machine files are machines the lemma check above covers
+    # the benchmark's and the README's machine files are machines the lemma
+    # check above covers
     checked = [build() for build in LEMMA_MACHINES]
-    paths = sorted(SATBENCH_MACHINES.glob("*.tm"))
+    paths = sorted(SATBENCH_MACHINES.glob("*.tm")) + sorted(DEMO.glob("*.tm"))
     assert paths
     for path in paths:
-        assert parse_machine(path.read_text()) in checked, path.name
+        assert parse_machine(path.read_text()) in checked, f"{path.parent.name}/{path.name}"
 
 
 @st.composite

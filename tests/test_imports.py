@@ -46,8 +46,8 @@ EXPORTS = {
         "reduce_to_3color", "reduce_to_clique", "reduce_to_hamcycle",
     ],
     "turing": [
-        "BLANK", "Configuration", "MachineSpec", "RunOutcome", "build_equality_checker",
-        "format_machine", "parse_machine", "run_dtm", "run_ntm", "step",
+        "BLANK", "Configuration", "MachineSpec", "RunOutcome", "format_machine", "parse_machine",
+        "run_dtm", "run_ntm", "step",
     ],
     "cooklevin": ["BOUNDARY", "TableauSpec", "WindowTemplate", "decode_tableau", "encode",
                   "legal_windows", "state_symbol", "tape_symbol"],

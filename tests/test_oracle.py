@@ -140,7 +140,10 @@ def walk_formulas(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(walk_formulas())
 def test_walk_matches_enumeration(f):
-    assert max_sat_optimum(f) == max_sat_optimum_reference(f)
+    reference = max_sat_optimum_reference(f)
+    assert max_sat_optimum(f) == reference
+    for k in range(len(f.clauses) + 2):
+        assert max_sat_decide(f, k) == (reference[0] >= k), k
     witness = first_satisfying(f)
     assert brute_force_sat(f) == SatResult(witness is not None, witness)
 

@@ -35,7 +35,7 @@ M_REPR = (
     "q0='q', q_accept='a', q_reject='r')"
 )
 SYMBOLS = (("#",), ("q", "q"), ("g", "1"))
-SPEC_REPR = f"TableauSpec(p=3, symbols={SYMBOLS!r}, machine={M_REPR}, input_symbols=('1',))"
+SPEC_REPR = f"TableauSpec(p=3, symbols={SYMBOLS!r})"
 
 CLIQUE_ARGS = dict(graph=Graph("a"), k=1, vertex_index={"a": (1, 0, 1)},
                    clause_slots=(("a", "a", "a"),), formula=CnfFormula(1, [(1,)]),
@@ -83,8 +83,7 @@ CASES = [
      True),
     (RunOutcome, "verdict steps_used final", ("accept", 3, CONF), ("accept", 4, CONF),
      f"RunOutcome(verdict='accept', steps_used=3, final={CONF_REPR}, trace=None)", True),
-    (TableauSpec, "p symbols machine input_symbols", (3, SYMBOLS, M, ("1",)),
-     (3, SYMBOLS, M, ("1", "1")), SPEC_REPR, False),
+    (TableauSpec, "p symbols", (3, SYMBOLS), (4, SYMBOLS), SPEC_REPR, True),
 ]
 IDS = [case[0].__name__ for case in CASES]
 PARAMS = "cls, names, args, other, text, hashable"
@@ -151,20 +150,6 @@ def test_run_outcome_trace_defaults_to_none_and_is_not_compared():
         f"RunOutcome(verdict='accept', steps_used=3, final={CONF_REPR}, trace=({CONF_REPR},))"
     )
     assert pickle.loads(pickle.dumps(traced)).trace == (CONF,)
-
-
-def test_tableau_spec_index_is_derived_and_hidden():
-    spec = TableauSpec(3, SYMBOLS, M, ("1",))
-    assert spec.index == {s: i for i, s in enumerate(SYMBOLS)}
-    assert "index" not in repr(spec)
-    other = TableauSpec(3, SYMBOLS, M, ("1",))
-    object.__setattr__(other, "index", {})
-    assert other == spec
-    with pytest.raises(TypeError):
-        TableauSpec(3, SYMBOLS, M, ("1",), {})
-    with pytest.raises(TypeError):
-        TableauSpec(p=3, symbols=SYMBOLS, machine=M, input_symbols=("1",), index={})
-    assert copy.deepcopy(spec).index == spec.index
 
 
 def test_sat_result_keeps_its_consistency_assertion():

@@ -7,7 +7,6 @@ from satkit.turing import (
     BLANK,
     Configuration,
     MachineSpec,
-    build_equality_checker,
     format_machine,
     initial_configuration,
     parse_machine,
@@ -18,6 +17,7 @@ from satkit.turing import (
 from support import (
     bfs_ntm_accepts,
     branching_acceptor,
+    build_equality_checker,
     machine_inputs,
     one_step_acceptor,
     run_ntm_reference,
