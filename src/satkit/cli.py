@@ -1,12 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 = YES/success, 1 = NO (a negative decision, never an error),
-2 = usage or parse error, 3 = search budget or step limit exceeded, or out of
-memory. Verdicts go to stdout; DOT/DIMACS/JSON artifacts are written only
-under explicit flags, each after its whole text is built, so running out of
-memory leaves no file half-written. ``SATKIT_BUDGET_VARS`` overrides the
-exhaustive-search variable budget; it must be a non-negative integer and is
-read only by the commands that search exhaustively.
+2 = usage or parse error, 3 = search budget or step limit exceeded, out of
+memory, or a declared size too large to index. Verdicts go to stdout;
+DOT/DIMACS/JSON artifacts are written only under explicit flags, each after
+its whole text is built, so running out of memory leaves no file
+half-written. ``SATKIT_BUDGET_VARS`` overrides the exhaustive-search
+variable budget; it must be a non-negative integer and is read only by the
+commands that search exhaustively.
 
 Each process runs one command, so start-up is most of its cost. Only
 ``errors`` and ``formula`` (with ``_record``, its value-class base) are
@@ -348,7 +349,7 @@ def run_cli(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except MemoryError:  # e.g. a small header declaring a billion variables
+    except (MemoryError, OverflowError):  # e.g. a header declaring 10**9 or 2**63 variables
         print("budget exceeded: out of memory", file=sys.stderr)
         return BUDGET
     except (ValueError, OSError) as exc:  # DimacsError and JSONDecodeError are ValueErrors

@@ -37,10 +37,13 @@ configuration ``turing.step`` makes of them, with hidden context on both
 sides, so the tableau and the simulators share one definition of a move,
 the left edge included. The head never legally steps onto a boundary
 column, so runs needing more than p-3 cells have no satisfying tableau.
+The windows and patterns depend on the machine alone, so an LRU cache keyed
+by the machine holds them for the 32 machines used last.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import NamedTuple
@@ -74,8 +77,8 @@ def legal_windows(m: MachineSpec) -> set[WindowTemplate]:
     """All 2x3 window contents consistent with some legal row transition.
 
     The windows depend on the machine alone, so they are served from the
-    bounded per-machine memo of :func:`_window_constraints`; each call
-    returns a fresh set, which the caller may change freely.
+    per-machine LRU cache of :func:`_window_constraints`; each call returns
+    a fresh set, which the caller may change freely.
     """
     return set(_window_constraints(m)[0])
 
@@ -284,45 +287,26 @@ def _window_domains(msz: int) -> list[range]:
     return [range(c * msz, (c + 1) * msz) for c in range(6)]
 
 
-# Window constraints per machine content; a small bound keeps a long run over
-# many machines from holding every machine's patterns.
-_WINDOW_MEMO_SIZE = 32
-_window_memo: dict = {}
-
-
+@lru_cache(maxsize=32)
 def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
     """Legal windows and the window patterns that :func:`encode` emits.
 
     Both depend on the machine alone, not on the input or p, so they are
-    computed once per machine content and kept in a bounded memo; this memo
-    is the only place :func:`legal_windows` and :func:`encode` get them
-    from. The key is the machine's full content, so separately built equal
-    machines share an entry. The windows are a frozenset of
-    :class:`WindowTemplate`; the patterns are the :func:`_irredundant`
-    subset of the value tuples of :func:`blocked_patterns` over
-    :func:`_window_domains`, as window offsets, in their original order.
+    computed once per machine and kept in an LRU cache of 32 machines; this
+    cache is the only place :func:`legal_windows` and :func:`encode` get
+    them from. The cache is keyed by the machine, so separately built equal
+    machines share an entry, and ``cache_info()`` counts its hits and
+    misses. The windows are a frozenset of :class:`WindowTemplate`; the
+    patterns are the :func:`_irredundant` subset of the value tuples of
+    :func:`blocked_patterns` over :func:`_window_domains`, as window
+    offsets, in their original order.
     """
-    key = (
-        m.states,
-        m.input_alphabet,
-        m.tape_alphabet,
-        tuple(sorted(m.delta.items())),
-        m.q0,
-        m.q_accept,
-        m.q_reject,
-    )
-    got = _window_memo.get(key)
-    if got is None:
-        windows = frozenset(_legal_windows(m))
-        symbols = _tableau_symbols(m)
-        msz = len(symbols)
-        legal = _window_offsets(windows, symbols)
-        primes = [vals for _, vals in blocked_patterns(legal, _window_domains(msz))]
-        patterns = _irredundant(primes, msz)
-        if len(_window_memo) >= _WINDOW_MEMO_SIZE:
-            _window_memo.pop(next(iter(_window_memo)), None)
-        got = _window_memo[key] = (windows, patterns)
-    return got
+    windows = frozenset(_legal_windows(m))
+    symbols = _tableau_symbols(m)
+    msz = len(symbols)
+    legal = _window_offsets(windows, symbols)
+    primes = [vals for _, vals in blocked_patterns(legal, _window_domains(msz))]
+    return windows, _irredundant(primes, msz)
 
 
 def _window_offsets(windows, symbols) -> frozenset:
@@ -374,10 +358,11 @@ def encode(
     Encodings over the budget are refused, never truncated.
 
     The legal windows and the blocked patterns depend on the machine alone.
-    They are computed once per machine content and reused across inputs and
-    values of p (see :func:`_window_constraints`). The compact mode only
-    picks each pattern's literals out of each window position's cells; the
-    full mode writes the legal windows over symbol indices on each call.
+    They are computed once per machine and reused across inputs and values
+    of p while the machine stays in the LRU cache of
+    :func:`_window_constraints`. The compact mode only picks each pattern's
+    literals out of each window position's cells; the full mode writes the
+    legal windows over symbol indices on each call.
     """
     if windows not in ("compact", "full"):
         raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")

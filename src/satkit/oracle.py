@@ -77,10 +77,13 @@ def _refile(on_false, on_true, bucket: list) -> None:
         (on_false if hi == v else on_true)[v].append(clause)
 
 
-def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
+def _walk(f: CnfFormula, ceiling: int, enough: int = 0) -> tuple[int, Assignment | None]:
     """Fewest clauses a total assignment falsifies, and the first one that does.
 
-    ``(ceiling, None)`` if none falsifies fewer than ``ceiling``; 0 ends the walk.
+    ``(ceiling, None)`` if none falsifies fewer than ``ceiling``. The walk
+    ends at the first assignment that falsifies at most ``enough`` clauses
+    and returns it with its count: with ``enough = ceiling - 1`` that is the
+    lexicographically first assignment under the ceiling.
     """
     n = f.num_vars
     clauses = f.clauses
@@ -136,7 +139,7 @@ def _walk(f: CnfFormula, ceiling: int) -> tuple[int, Assignment | None]:
             falsified[v] = got
             continue
         best, witness = got, {i: value[i] for i in range(1, n + 1)}
-        if not got:
+        if got <= enough:
             break
     return best, witness
 
@@ -183,6 +186,7 @@ def max_sat_decide(f: CnfFormula, k: int, max_vars: int = DEFAULT_MAX_VARS) -> b
     if k == 0:
         return True
     _check_budget(f, max_vars)
-    # k clauses hold iff some assignment falsifies fewer than m - k + 1; the
-    # walk prunes at that ceiling instead of searching for the optimum.
-    return _walk(f, len(f.clauses) - k + 1)[1] is not None
+    # k clauses hold iff some assignment falsifies at most m - k; the walk
+    # prunes at that ceiling and stops at the first such assignment.
+    m = len(f.clauses)
+    return _walk(f, m - k + 1, m - k)[1] is not None

@@ -79,6 +79,10 @@ class MachineSpec(Record):
         object.__setattr__(self, "q_accept", q_accept)
         object.__setattr__(self, "q_reject", q_reject)
 
+    def __hash__(self) -> int:
+        # A dict has no hash; equal machines have equal states and transitions.
+        return hash((self.states, frozenset(self.delta.items())))
+
     def is_deterministic(self) -> bool:
         return all(len(opts) == 1 for opts in self.delta.values())
 

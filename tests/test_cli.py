@@ -376,17 +376,20 @@ def test_cooklevin_cli_encodes_equality_checker(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "huge.cnf"], ["solve", "--method", "horn", "huge.cnf"], ["solve", "huge.dnf"]],
-    ids=["2sat", "horn", "dnf"],
+    [["solve", "huge.cnf"], ["solve", "--method", "horn", "huge.cnf"], ["solve", "huge.dnf"],
+     ["solve", "index.cnf"]],
+    ids=["2sat", "horn", "dnf", "2sat-index"],
 )
 def test_out_of_memory_is_budget_exit(argv, tmp_path):
-    # files of a few bytes declaring a billion variables, under a 256 MiB
-    # address-space cap: never a traceback, never exit 1 (NO)
+    # files of a few bytes declaring a billion variables, or more than a list
+    # can index, under a 256 MiB address-space cap: never a traceback, never
+    # exit 1 (NO)
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("RLIMIT_AS is not available here")
     (tmp_path / "huge.cnf").write_text("p cnf 1000000000 0\n")
     (tmp_path / "huge.dnf").write_text("p cnf 1000000000 1\n1 0\n")
+    (tmp_path / "index.cnf").write_text("p cnf 9223372036854775807 0\n")
     cap = 256 * 2**20
 
     def limit_memory():

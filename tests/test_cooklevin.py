@@ -593,11 +593,24 @@ def test_var_map_entries():
     assert (1, 1, "q0", "state") in back
 
 
+class _WindowCache:
+    """The window cache as a sized container: ``len`` counts its machines."""
+
+    def __len__(self):
+        return cooklevin._window_constraints.cache_info().currsize
+
+    def clear(self):
+        cooklevin._window_constraints.cache_clear()
+
+
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(cooklevin, "_window_memo", memo)
-    return memo
+def fresh_memo():
+    # cleared after the test too, so no entry built under a patched
+    # _irredundant outlives it
+    memo = _WindowCache()
+    memo.clear()
+    yield memo
+    memo.clear()
 
 
 def test_equal_machines_share_window_constraints(fresh_memo):
@@ -639,11 +652,21 @@ def test_window_memo_tells_machines_apart(fresh_memo):
 
 
 def test_window_memo_stays_bounded(fresh_memo):
-    for extra in range(cooklevin._WINDOW_MEMO_SIZE + 3):
+    size = cooklevin._window_constraints.cache_parameters()["maxsize"]
+
+    def machine(extra):
         states = {"q0", "acc", "rej", f"s{extra}"}
-        m = MachineSpec(states, {"1"}, {"1", BLANK}, {}, "q0", "acc", "rej")
-        cooklevin._window_constraints(m)
-    assert len(fresh_memo) == cooklevin._WINDOW_MEMO_SIZE
+        return MachineSpec(states, {"1"}, {"1", BLANK}, {}, "q0", "acc", "rej")
+
+    for extra in range(size + 3):
+        if extra == size:
+            # looked up again, the first machine is now the most recently used
+            cooklevin._window_constraints(machine(0))
+        cooklevin._window_constraints(machine(extra))
+    assert len(fresh_memo) == size
+    hits = cooklevin._window_constraints.cache_info().hits
+    cooklevin._window_constraints(machine(0))
+    assert cooklevin._window_constraints.cache_info().hits == hits + 1
 
 
 def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo):
@@ -716,11 +739,10 @@ def test_legal_windows_match_uncached_reference(machine, fresh_memo):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(tiny_machines())
 def test_legal_windows_match_uncached_reference_on_random_machines(m):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cooklevin, "_window_memo", {})
-        expected = legal_windows_reference(m)
-        assert legal_windows(m) == expected
-        assert legal_windows(m) == expected
+    cooklevin._window_constraints.cache_clear()
+    expected = legal_windows_reference(m)
+    assert legal_windows(m) == expected
+    assert legal_windows(m) == expected
 
 
 @st.composite
@@ -772,8 +794,8 @@ def test_legal_windows_fills_the_memo_encode_reads(fresh_memo):
     m = one_step_acceptor()
     legal_windows(m)
     assert len(fresh_memo) == 1
-    entry = next(iter(fresh_memo.values()))
+    entry = cooklevin._window_constraints(m)
     encode(m, "1", 4)
     encode(m, "", 3, windows="full")
     assert len(fresh_memo) == 1
-    assert next(iter(fresh_memo.values())) is entry
+    assert cooklevin._window_constraints(m) is entry

@@ -15,7 +15,9 @@ from satkit.oracle import (
     max_sat_optimum,
 )
 from support import (
+    all_assignments,
     branching_acceptor,
+    count_satisfied,
     edge_bouncer,
     first_satisfying,
     max_sat_optimum_reference,
@@ -146,6 +148,12 @@ def test_walk_matches_enumeration(f):
         assert max_sat_decide(f, k) == (reference[0] >= k), k
     witness = first_satisfying(f)
     assert brute_force_sat(f) == SatResult(witness is not None, witness)
+    # stopping early: the first assignment under each ceiling, with its count
+    m = len(f.clauses)
+    counted = [(m - count_satisfied(f, a), a) for a in all_assignments(f.num_vars)]
+    for c in range(m + 2):
+        first = next(((got, a) for got, a in counted if got < c), (c, None))
+        assert oracle._walk(f, c, c - 1) == first, c
 
 
 def test_max_sat_optimum_at_twenty_variables():

@@ -3,7 +3,8 @@
 Each of the fourteen classes below is built by position and by keyword, and
 must give the same ``repr``, ``==``, ``hash``, immutability, pickle and
 deepcopy behaviour whatever implements it. A class holding a dict is not
-hashable; ``hash`` on it raises ``TypeError``.
+hashable, and ``hash`` on it raises ``TypeError``, except ``MachineSpec``,
+which hashes its transitions as a frozenset of items.
 """
 
 import copy
@@ -78,7 +79,7 @@ CASES = [
      "formula=CnfFormula(num_vars=1, clauses=((1,),)), padded=((1, 1, 1),))", False),
     (MachineSpec, "states input_alphabet tape_alphabet delta q0 q_accept q_reject",
      (M.states, M.input_alphabet, M.tape_alphabet, M.delta, "q", "a", "r"),
-     (M.states, M.input_alphabet, M.tape_alphabet, {}, "q", "a", "r"), M_REPR, False),
+     (M.states, M.input_alphabet, M.tape_alphabet, {}, "q", "a", "r"), M_REPR, True),
     (Configuration, "tape head state", (("1", "0"), 1, "q"), (("1", "0"), 0, "q"), CONF_REPR,
      True),
     (RunOutcome, "verdict steps_used final", ("accept", 3, CONF), ("accept", 4, CONF),
