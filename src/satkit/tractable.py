@@ -15,16 +15,24 @@ reference graph that the tests check it against.
 Horn satisfiability is counter-based forward chaining (Dowling–Gallier):
 occurrence lists from each body variable to its clauses, a per-clause count
 of body literals not yet true, and a queue of derived heads, so the work is
-linear in the formula size. The formula is unsatisfiable iff some clause
-without a head gets its whole body true (or is empty); otherwise the
-witness is the unique minimal model. :func:`unit_propagate` is the
-paper-literal reference: its forced-true variables are exactly that model.
+linear in the formula size. :func:`solve_horn` builds all of it and checks
+that each clause has at most one distinct positive literal in one pass over
+the literals. The formula is unsatisfiable iff some clause without a head
+gets its whole body true (or is empty); otherwise the witness is the unique
+minimal model.
+
+:func:`unit_propagate` processes the lowest-indexed unit clause first and
+stops at the first empty clause; its forced-true variables on a Horn
+formula are exactly that model. It runs on the kernel in
+``satkit._propagate`` (per-clause counts of unassigned literals and a heap
+of unit clause indices), linear in the formula size plus O(log m) per unit,
+and imported on first call, so no CLI command loads it.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .formula import Assignment, CnfFormula, DnfFormula, is_horn, is_tautology, max_clause_width
+from .formula import Assignment, CnfFormula, DnfFormula, is_tautology, max_clause_width
 from .graph import tarjan_scc
 from .oracle import SatResult
 
@@ -105,59 +113,63 @@ def unit_propagate(f: CnfFormula) -> UpResult:
     the unit {x}. Processing a unit records x, deletes clauses containing x,
     and strips ¬x from the rest, possibly creating the empty clause, at
     which point propagation stops (the empty clause decides everything a
-    caller needs).
+    caller needs); an empty clause in the input stops it before the first
+    unit. The work is linear in the formula size plus O(log m) per unit:
+    the kernel in ``satkit._propagate`` keeps per-clause counts of
+    unassigned literals and a heap of unit clause indices instead of
+    rescanning the clause list for each unit.
     """
-    clauses: list[tuple[int, ...]] = list(f.clauses)
-    forced: Assignment = {}
-    while True:
-        unit = next((c for c in clauses if c and len(set(c)) == 1), None)
-        if unit is None or any(not c for c in clauses):
-            break
-        x = unit[0]
-        forced[abs(x)] = x > 0
-        reduced: list[tuple[int, ...]] = []
-        for clause in clauses:
-            if x in clause:
-                continue
-            if -x in clause:
-                clause = tuple(lit for lit in clause if lit != -x)
-            reduced.append(clause)
-        clauses = reduced
-    return UpResult(CnfFormula(f.num_vars, clauses), forced)
+    from . import _propagate
+
+    reduced, forced, _ = _propagate.propagate(f)
+    return UpResult(reduced, forced)
 
 
 def solve_horn(f: CnfFormula) -> SatResult:
     """Horn satisfiability by counter-based forward chaining.
 
-    Each clause counts its body (negative) literals whose variable is not
-    yet derived true; a repeated literal is counted, and listed in the
-    occurrence lists, once per occurrence. Deriving a variable decrements
-    the counters of the clauses it occurs in, and a clause whose counter
-    reaches zero derives its head. Reaching zero on a clause with no head,
-    or an empty clause in the input, means unsatisfiable. Otherwise the
-    witness is the unique minimal model: the derived variables true, every
-    other false, which are exactly the values :func:`unit_propagate` forces
-    true.
+    One pass over the literals checks the Horn condition and builds the
+    counters together: each clause counts its body (negative) literals,
+    once per occurrence, and lists itself in each body variable's
+    occurrence list; its positive literal is its head, and a second,
+    different positive literal raises ``ValueError`` wherever it occurs,
+    even after an empty clause. Deriving a variable decrements the counters
+    of the clauses it occurs in, and a clause whose counter reaches zero
+    derives its head. Reaching zero on a clause with no head, or an empty
+    clause in the input, means unsatisfiable. Otherwise the witness is the
+    unique minimal model: the derived variables true, every other false,
+    which are exactly the values :func:`unit_propagate` forces true. Each
+    literal occurrence is read once and its counter decremented at most
+    once, so the work is linear in the formula size.
     """
-    if not is_horn(f):
-        raise ValueError("solve_horn requires a Horn formula")
     n = f.num_vars
+    # The flat list first: a header too large to hold fails here, in one
+    # allocation, before n + 1 occurrence lists are built one by one.
+    true = [False] * (n + 1)
     occurs: list[list[int]] = [[] for _ in range(n + 1)]
     pending: list[int] = []
     heads: list[int] = []
     queue: list[int] = []
+    unsat = False
     for i, clause in enumerate(f.clauses):
-        body = [-lit for lit in clause if lit < 0]
-        head = max(max(clause, default=0), 0)
-        for v in body:
-            occurs[v].append(i)
-        pending.append(len(body))
+        head = body = 0
+        for lit in clause:
+            if lit < 0:
+                occurs[-lit].append(i)
+                body += 1
+            elif lit != head:
+                if head:
+                    raise ValueError("solve_horn requires a Horn formula")
+                head = lit
+        pending.append(body)
         heads.append(head)
         if not body:
-            if not head:
-                return SatResult(False, None)
-            queue.append(head)
-    true = [False] * (n + 1)
+            if head:
+                queue.append(head)
+            else:
+                unsat = True
+    if unsat:
+        return SatResult(False, None)
     while queue:
         v = queue.pop()
         if true[v]:
@@ -183,7 +195,9 @@ def solve_dnf(f: DnfFormula) -> SatResult:
     for term in f.terms:
         if is_tautology(term):  # a term with x and not-x is contradictory
             continue
-        witness = {v: False for v in range(1, f.num_vars + 1)}
+        n = f.num_vars
+        # One flat allocation, so a header too large to hold fails at once.
+        witness = dict(zip(range(1, n + 1), [False] * n))
         for lit in term:
             witness[abs(lit)] = lit > 0
         return SatResult(True, witness)

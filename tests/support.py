@@ -14,6 +14,7 @@ from pathlib import Path
 from satkit.cooklevin import BOUNDARY, WindowTemplate, state_symbol, tape_symbol
 from satkit.formula import CnfFormula, DnfFormula, count_satisfied
 from satkit.graph import Digraph, tarjan_scc
+from satkit.tractable import UpResult
 from satkit.turing import (
     BLANK,
     Configuration,
@@ -220,6 +221,31 @@ def max_sat_optimum_reference(f: CnfFormula):
             if best == len(f.clauses):
                 break
     return best, best_assignment
+
+
+def unit_propagate_reference(f: CnfFormula) -> UpResult:
+    """``tractable.unit_propagate`` before its linear kernel.
+
+    Kept as its reference: each round rescans the clause list for the first
+    unit clause and rebuilds the list, so the work is quadratic.
+    """
+    clauses: list[tuple[int, ...]] = list(f.clauses)
+    forced = {}
+    while True:
+        unit = next((c for c in clauses if c and len(set(c)) == 1), None)
+        if unit is None or any(not c for c in clauses):
+            break
+        x = unit[0]
+        forced[abs(x)] = x > 0
+        reduced: list[tuple[int, ...]] = []
+        for clause in clauses:
+            if x in clause:
+                continue
+            if -x in clause:
+                clause = tuple(lit for lit in clause if lit != -x)
+            reduced.append(clause)
+        clauses = reduced
+    return UpResult(CnfFormula(f.num_vars, clauses), forced)
 
 
 def walk_reference(f: CnfFormula, ceiling: int):

@@ -377,8 +377,8 @@ def test_cooklevin_cli_encodes_equality_checker(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["solve", "huge.cnf"], ["solve", "--method", "horn", "huge.cnf"], ["solve", "huge.dnf"],
-     ["solve", "index.cnf"]],
-    ids=["2sat", "horn", "dnf", "2sat-index"],
+     ["solve", "index.cnf"], ["solve", "--method", "horn", "index.cnf"], ["solve", "index.dnf"]],
+    ids=["2sat", "horn", "dnf", "2sat-index", "horn-index", "dnf-index"],
 )
 def test_out_of_memory_is_budget_exit(argv, tmp_path):
     # files of a few bytes declaring a billion variables, or more than a list
@@ -390,6 +390,7 @@ def test_out_of_memory_is_budget_exit(argv, tmp_path):
     (tmp_path / "huge.cnf").write_text("p cnf 1000000000 0\n")
     (tmp_path / "huge.dnf").write_text("p cnf 1000000000 1\n1 0\n")
     (tmp_path / "index.cnf").write_text("p cnf 9223372036854775807 0\n")
+    (tmp_path / "index.dnf").write_text("p cnf 9223372036854775807 1\n1 0\n")
     cap = 256 * 2**20
 
     def limit_memory():

@@ -125,6 +125,40 @@ def test_every_submodule_loads_without_dataclasses_or_inspect():
     assert done.stdout.split() == ["[]"]
 
 
+def satkit_imports(module: str) -> list[tuple[str, bool]]:
+    """Each ``satkit`` name that ``satkit/<module>.py`` imports, with whether
+    the import statement sits inside a function."""
+    tree = ast.parse((SRC / "satkit" / f"{module}.py").read_text(encoding="utf-8"))
+    nested = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if node is not fn
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "satkit"):
+            names = [node.module] if node.module and node.level else [a.name for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            full = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            names = [name.removeprefix("satkit.") for name in full if name.startswith("satkit.")]
+        else:
+            continue
+        found += [(name.partition(".")[0], id(node) in nested) for name in names]
+    return found
+
+
+def test_propagation_kernel_shares_no_code_with_the_solvers():
+    # A checker built on the kernel must not run the code of the solvers
+    # whose answers it checks, and no CLI command may load the kernel by
+    # importing tractable.
+    kernel = satkit_imports("_propagate")
+    assert kernel and {name for name, _ in kernel} <= {"formula", "_record"}
+    assert loaded_after("import satkit._propagate") == {"satkit", "_propagate", "formula",
+                                                        "_record"}
+    uses = [nested for name, nested in satkit_imports("tractable") if name == "_propagate"]
+    assert uses and all(uses)
+
+
 @pytest.fixture
 def clique_files(tmp_path):
     inst = reduce_to_clique(parse_dimacs((DEMO / "fig_clique.cnf").read_text()))

@@ -6,13 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from satkit.formula import CnfFormula, DnfFormula, evaluate, evaluate_dnf, is_horn, parse_dimacs
 from satkit.oracle import SatResult, brute_force_sat, equisatisfiable
+from satkit._propagate import propagate
 from satkit.tractable import (
     solve_2sat,
     solve_dnf,
     solve_horn,
     unit_propagate,
 )
-from support import implication_graph_reference, random_cnf, scc_reference
+from support import (
+    implication_graph_reference,
+    random_cnf,
+    scc_reference,
+    unit_propagate_reference,
+)
 
 MAX_VARS = 6
 
@@ -178,6 +184,66 @@ def test_solve_horn_long_shuffled_chain(sat):
     assert result.satisfiable == sat
     if sat:
         assert result.witness == {v: True for v in range(1, n + 1)}
+
+
+@st.composite
+def small_cnfs(draw):
+    """Any CNF over a few variables, Horn or not, empty clauses included."""
+    n = draw(st.integers(1, MAX_VARS))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    return CnfFormula(n, draw(st.lists(st.lists(lit, max_size=4), max_size=8)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_cnfs())
+def test_solve_horn_checks_horn_in_its_one_pass(f):
+    if not is_horn(f):
+        with pytest.raises(ValueError, match="^solve_horn requires a Horn formula$"):
+            solve_horn(f)
+        return
+    # The minimal model is below every model, so it is also the oracle's
+    # lexicographically first one.
+    assert solve_horn(f) == brute_force_sat(f)
+
+
+def test_solve_horn_non_horn_clause_wins_over_an_earlier_empty_clause():
+    with pytest.raises(ValueError, match="Horn"):
+        solve_horn(CnfFormula(2, [(), (1, 2)]))
+    assert solve_horn(CnfFormula(2, [(), (-1, 2)])) == SatResult(False, None)
+
+
+def test_unit_propagate_matches_rescanning_reference():
+    # Widths 0-5 over at most 8 variables: duplicates, tautologies, units,
+    # conflicts and the odd empty clause. forced is compared as a list, so
+    # the order units are processed in is checked too.
+    rng = random.Random(43)
+    conflicts = propagated = 0
+    for _ in range(2_000):
+        n = rng.randint(1, 8)
+        lits = [v for v in range(1, n + 1)] + [-v for v in range(1, n + 1)]
+        clauses = [
+            tuple(rng.choice(lits) for _ in range(rng.choices(range(6), (1, 20, 15, 10, 5, 3))[0]))
+            for _ in range(rng.randint(0, 12))
+        ]
+        f = CnfFormula(n, clauses)
+        mine, ref = unit_propagate(f), unit_propagate_reference(f)
+        assert mine.reduced == ref.reduced, clauses
+        assert list(mine.forced.items()) == list(ref.forced.items()), clauses
+        propagated += bool(ref.forced)
+        conflicts += bool(ref.forced) and () in ref.reduced.clauses
+    assert propagated > 1_000 and conflicts > 300
+
+
+@pytest.mark.parametrize("sat", [True, False])
+def test_propagation_kernel_reads_each_chain_occurrence_once(sat):
+    # (x1), (-x1 v x2), ..., (-x_{n-1} v x_n), plus (-x_n) when UNSAT: every
+    # literal occurrence is read once, 2n - 1 of them, or 2n with (-x_n).
+    n = 65_536
+    clauses = [(1,)] + [(-v, v + 1) for v in range(1, n)] + ([] if sat else [(-n,)])
+    reduced, forced, visits = propagate(CnfFormula(n, clauses))
+    assert visits == (2 * n - 1 if sat else 2 * n)
+    assert list(forced.items()) == [(v, True) for v in range(1, n + 1)]
+    assert reduced.clauses == (() if sat else ((),))
 
 
 def test_unit_propagation_chain():
