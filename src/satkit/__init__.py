@@ -13,17 +13,14 @@ __version__ = "0.1.0"
 _SUBMODULE_EXPORTS = {
     "errors": ("BudgetExceededError",),
     "formula": (
-        "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "canonical",
-        "count_satisfied", "evaluate", "evaluate_dnf", "is_horn", "max_clause_width",
-        "parse_dimacs", "write_dimacs",
+        "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "SatResult",
+        "canonical", "count_satisfied", "evaluate", "evaluate_dnf", "is_horn",
+        "max_clause_width", "parse_dimacs", "write_dimacs",
     ),
-    "oracle": (
-        "SatResult", "brute_force_sat", "equisatisfiable", "max_sat_decide", "max_sat_optimum",
-    ),
+    "oracle": ("brute_force_sat", "equisatisfiable", "max_sat_decide", "max_sat_optimum"),
     "graph": (
         "Digraph", "Graph", "find_clique", "find_hamiltonian_cycle", "find_k_coloring",
-        "is_bipartite", "to_dot", "verify_clique", "verify_coloring",
-        "verify_hamiltonian_cycle",
+        "to_dot", "verify_clique", "verify_coloring", "verify_hamiltonian_cycle",
     ),
     "tractable": (
         "UpResult", "solve_2sat", "solve_dnf", "solve_horn", "unit_propagate",

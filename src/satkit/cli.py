@@ -2,12 +2,12 @@
 
 Exit codes: 0 = YES/success, 1 = NO (a negative decision, never an error),
 2 = usage or parse error, 3 = search budget or step limit exceeded, out of
-memory, or a declared size too large to index. Verdicts go to stdout;
-DOT/DIMACS/JSON artifacts are written only under explicit flags, each after
-its whole text is built, so running out of memory leaves no file
-half-written. ``SATKIT_BUDGET_VARS`` overrides the exhaustive-search
-variable budget; it must be a non-negative integer and is read only by the
-commands that search exhaustively.
+memory, a declared size too large to index, or a graph larger than
+``reduce`` admits. Verdicts go to stdout; DOT/DIMACS/JSON artifacts are
+written only under explicit flags, each after its whole text is built, so
+running out of memory leaves no file half-written. ``SATKIT_BUDGET_VARS``
+overrides the exhaustive-search variable budget; it must be a non-negative
+integer and is read only by the commands that search exhaustively.
 
 Each process runs one command, so start-up is most of its cost. Only
 ``errors`` and ``formula`` (with ``_record``, its value-class base) are
@@ -38,6 +38,13 @@ from .formula import (
 )
 
 YES, NO, USAGE_ERROR, BUDGET = 0, 1, 2, 3
+
+# The largest graph ``reduce`` builds, checked before it builds anything.
+# CLIQUE's |E| grows with |V|^2, so it also has an edge budget. A graph at
+# either budget builds in about 1.5 s and 250 MB on a 2-vCPU VM, and the
+# tests, the benchmark and the README build at most 421 vertices.
+REDUCE_MAX_VERTICES = 200_000
+REDUCE_MAX_EDGES = 1_000_000
 
 
 def _budget() -> int:
@@ -151,11 +158,25 @@ def tableau_sidecar(spec) -> str:
     return json.dumps({"p": spec.p, "vars": spec.var_map_entries()}, indent=1)
 
 
+def _admit(count: int, what: str, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(f"{count} {what} exceed the reduce budget of {budget}")
+
+
 def _cmd_reduce(args) -> int:
     from . import reductions
     from .graph import to_dot
 
-    inst = reductions.KINDS[args.kind].reduce(_parse_cnf_file(args.file), args.strict)
+    f = _parse_cnf_file(args.file)
+    cls = reductions.KINDS[args.kind]
+    # Admission before allocation: the size rules need only the header and
+    # the clauses, so an oversized graph is refused before any of it is built.
+    _admit(cls.num_vertices(f.num_vars, len(f.clauses), args.strict), "vertices",
+           REDUCE_MAX_VERTICES)
+    num_edges = getattr(cls, "num_edges", None)
+    if num_edges is not None:
+        _admit(num_edges(f), "edges", REDUCE_MAX_EDGES)
+    inst = cls.reduce(f, args.strict)
     if args.dot:
         _write(args.dot, to_dot(inst.graph, reductions.dot_styling(inst)))
     if args.json:

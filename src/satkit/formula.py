@@ -8,7 +8,9 @@ clause is representable and unsatisfiable; a CNF with no clauses is
 trivially satisfiable.
 
 Assignments are plain ``dict[int, bool]`` keyed by variable index and may
-be partial.
+be partial. A :class:`SatResult` is the verdict every SAT solver returns,
+the oracle and the tractable fast paths alike, so they share only this
+module.
 """
 
 from __future__ import annotations
@@ -19,6 +21,18 @@ from ._record import Record
 
 Clause = tuple[int, ...]
 Assignment = dict[int, bool]
+
+
+class SatResult(Record):
+    """A satisfiability verdict, with a witness exactly when satisfiable."""
+
+    satisfiable: bool
+    witness: Assignment | None
+
+    def __init__(self, satisfiable: bool, witness: Assignment | None):
+        assert satisfiable == (witness is not None)
+        object.__setattr__(self, "satisfiable", satisfiable)
+        object.__setattr__(self, "witness", witness)
 
 
 class DimacsError(ValueError):

@@ -1,4 +1,4 @@
-"""Graph structures, search primitives, and DOT export.
+"""The reduction graphs, their exhaustive ground-truth searches, and DOT export.
 
 Vertices are opaque string labels. :class:`Graph` is undirected with set
 semantics on edges, :class:`Digraph` is directed; parallel edges collapse
@@ -8,11 +8,6 @@ class attribute ``directed``. The exhaustive finders (`find_clique`,
 `find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
 fixed vertex budgets of 40, 32 and 24, past which they raise
 `BudgetExceededError`, and deterministic, first-in-canonical-order results.
-
-Strongly connected components come from one iterative Tarjan kernel over
-int vertices, :func:`tarjan_scc`, which the 2-SAT solver calls on literal
-indices. Its visiting order (roots by index, successors in list order) is
-part of its contract, because 2-SAT witnesses depend on it.
 """
 
 from __future__ import annotations
@@ -84,76 +79,6 @@ class Digraph(Record):
     def successors(self) -> dict[str, list[str]]:
         """Each vertex's successors in sorted order, keyed in vertex order."""
         return _sorted_neighbours(self)
-
-
-def tarjan_scc(succ: list[list[int]]) -> tuple[list[int], int]:
-    """Iterative Tarjan over int vertices ``0..len(succ)-1``.
-
-    Roots are tried in index order and each vertex's successors in list
-    order, so the result is a pure function of ``succ``. Returns
-    ``(comp, count)``: ``comp[v]`` is the position of v's component in
-    Tarjan's emission order, which is a reverse topological order of the
-    condensation (an edge u→v implies ``comp[u] >= comp[v]``).
-    """
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    # comp[v] == -1 while v is unfinished; an indexed, unfinished vertex is
-    # exactly one on Tarjan's stack.
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = count = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    return comp, count
-
-
-def is_bipartite(g: Graph) -> Coloring | None:
-    """BFS 2-coloring with colors {0, 1}, root of each component colored 0."""
-    adj = g.adjacency()
-    color: Coloring = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        for u in queue:  # appending while iterating walks the list as a FIFO queue
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
 
 
 def _within_budget(g: Graph | Digraph, budget: int, search: str) -> None:

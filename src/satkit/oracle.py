@@ -18,25 +18,18 @@ is satisfied, and where it is false the clause is checked, so it is either
 satisfied by a literal that stays set in the whole subtree or moved higher
 before the walk goes below. Encoders that end each clause with its
 highest-variable literal (as ``cooklevin.encode`` does) never pay a refile.
+
+Verdicts are :class:`satkit.formula.SatResult` records, the type the
+tractable solvers return too, so the fast paths this module checks import
+none of it.
 """
 
 from __future__ import annotations
 
-from ._record import Record
 from .errors import BudgetExceededError
-from .formula import Assignment, CnfFormula
+from .formula import Assignment, CnfFormula, SatResult
 
 DEFAULT_MAX_VARS = 24
-
-
-class SatResult(Record):
-    satisfiable: bool
-    witness: Assignment | None
-
-    def __init__(self, satisfiable: bool, witness: Assignment | None):
-        assert satisfiable == (witness is not None)
-        object.__setattr__(self, "satisfiable", satisfiable)
-        object.__setattr__(self, "witness", witness)
 
 
 def _check_budget(f: CnfFormula, max_vars: int) -> None:

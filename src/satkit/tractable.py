@@ -6,11 +6,12 @@ edges ¬x→y and ¬y→x, a unit clause (x) counts as (x ∨ x) and contributes
 with its negation; otherwise variable x is assigned false exactly when
 comp[x] < comp[¬x] in topological order (Aspvall–Plass–Tarjan).
 :func:`solve_2sat` builds the graph as int adjacency lists over literal
-indices (v at 2(v-1), ¬v at 2(v-1)+1) and runs the shared Tarjan kernel
-:func:`satkit.graph.tarjan_scc`. The witness depends on DFS order, so the
-roots are tried 1, ¬1, 2, ¬2, ... and each vertex's successors in the
-order of their string labels ``str(lit)``: the order of the labelled
-reference graph that the tests check it against.
+indices (v at 2(v-1), ¬v at 2(v-1)+1) and runs the iterative Tarjan kernel
+:func:`tarjan_scc` on them. The kernel's visiting order (roots by index,
+successors in list order) is part of its contract, because the witness
+depends on DFS order: the roots are tried 1, ¬1, 2, ¬2, ... and each
+vertex's successors in the order of their string labels ``str(lit)``, the
+order of the labelled reference graph that the tests check it against.
 
 Horn satisfiability is counter-based forward chaining (Dowling–Gallier):
 occurrence lists from each body variable to its clauses, a per-clause count
@@ -32,9 +33,7 @@ and imported on first call, so no CLI command loads it.
 from __future__ import annotations
 
 from ._record import Record
-from .formula import Assignment, CnfFormula, DnfFormula, is_tautology, max_clause_width
-from .graph import tarjan_scc
-from .oracle import SatResult
+from .formula import Assignment, CnfFormula, DnfFormula, SatResult, is_tautology, max_clause_width
 
 
 # _label_rank[i] orders literal index i (literal v at 2(v-1), -v at
@@ -58,6 +57,57 @@ def _label_ranks(num_vars: int) -> list[int]:
             rank[2 * v - 1] = r
         _label_rank = rank
     return rank
+
+
+def tarjan_scc(succ: list[list[int]]) -> tuple[list[int], int]:
+    """Iterative Tarjan over int vertices ``0..len(succ)-1``.
+
+    Roots are tried in index order and each vertex's successors in list
+    order, so the result is a pure function of ``succ``. Returns
+    ``(comp, count)``: ``comp[v]`` is the position of v's component in
+    Tarjan's emission order, which is a reverse topological order of the
+    condensation (an edge u→v implies ``comp[u] >= comp[v]``).
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    # comp[v] == -1 while v is unfinished; an indexed, unfinished vertex is
+    # exactly one on Tarjan's stack.
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp, count
 
 
 def solve_2sat(f: CnfFormula) -> SatResult:

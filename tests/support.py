@@ -13,8 +13,8 @@ from pathlib import Path
 
 from satkit.cooklevin import BOUNDARY, WindowTemplate, state_symbol, tape_symbol
 from satkit.formula import CnfFormula, DnfFormula, count_satisfied
-from satkit.graph import Digraph, tarjan_scc
-from satkit.tractable import UpResult
+from satkit.graph import Digraph
+from satkit.tractable import UpResult, tarjan_scc
 from satkit.turing import (
     BLANK,
     Configuration,
@@ -101,7 +101,7 @@ def scc_reference(g: Digraph):
     Returns ``(components, comp)``: the partition in reverse topological
     order of the condensation, and ``comp[u] <= comp[v]`` whenever a path
     u→v exists (equal exactly within one component). A label view over
-    ``graph.tarjan_scc``: vertices are visited in ``g.vertices`` order,
+    ``tractable.tarjan_scc``: vertices are visited in ``g.vertices`` order,
     successors in sorted label order.
     """
     at = {v: i for i, v in enumerate(g.vertices)}
@@ -160,9 +160,9 @@ def find_clique_reference(g, k):
 
 
 def is_bipartite_reference(g):
-    """The BFS 2-coloring that ``graph.is_bipartite`` must reproduce, dict
-    order included: roots in vertex order get color 0, and the queue is a
-    list popped from the front."""
+    """BFS 2-coloring with colors {0, 1}, or None: roots in vertex order get
+    color 0, and the queue is a list popped from the front. Shifted by one,
+    it is the coloring ``graph.find_k_coloring(g, 2)`` must return."""
     adj = g.adjacency()
     color = {}
     for start in g.vertices:

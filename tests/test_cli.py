@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import satkit
+from satkit import cli, reductions
 from satkit.cli import build_parser, run_cli
 from satkit.formula import assignment_from_json, parse_dimacs
 from satkit.graph import find_hamiltonian_cycle, find_k_coloring
@@ -374,6 +375,26 @@ def test_cooklevin_cli_encodes_equality_checker(capsys):
     assert capsys.readouterr().out.startswith(f"tableau 9x9: {81 * universe} vars, ")
 
 
+def _run_capped(argv, cwd):
+    """The CLI in a child process under a 256 MiB address-space cap, so an
+    input that allocates without a check cannot fill the machine."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is not available here")
+    cap = 256 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(satkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from satkit.cli import main; main()", *argv],
+        capture_output=True, text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=limit_memory, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["solve", "huge.cnf"], ["solve", "--method", "horn", "huge.cnf"], ["solve", "huge.dnf"],
@@ -384,27 +405,96 @@ def test_out_of_memory_is_budget_exit(argv, tmp_path):
     # files of a few bytes declaring a billion variables, or more than a list
     # can index, under a 256 MiB address-space cap: never a traceback, never
     # exit 1 (NO)
-    resource = pytest.importorskip("resource")
-    if not hasattr(resource, "RLIMIT_AS"):
-        pytest.skip("RLIMIT_AS is not available here")
     (tmp_path / "huge.cnf").write_text("p cnf 1000000000 0\n")
     (tmp_path / "huge.dnf").write_text("p cnf 1000000000 1\n1 0\n")
     (tmp_path / "index.cnf").write_text("p cnf 9223372036854775807 0\n")
     (tmp_path / "index.dnf").write_text("p cnf 9223372036854775807 1\n1 0\n")
-    cap = 256 * 2**20
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(satkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "from satkit.cli import main; main()", *argv],
-        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        preexec_fn=limit_memory, timeout=60,
-    )
+    done = _run_capped(argv, tmp_path)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "budget exceeded: out of memory\n"
+
+
+def _clique_one_clause_over_edge_budget() -> str:
+    """Clauses over distinct variables, the fewest whose CLIQUE graph has more
+    edges than ``reduce`` admits: 3k occurrences give 3k(3k-1)/2 - 3k edges."""
+    k = 1
+    while 3 * k * (3 * k - 1) // 2 - 3 * k <= cli.REDUCE_MAX_EDGES:
+        k += 1
+    return f"p cnf {3 * k} {k}\n" + "".join(f"{3 * j + 1} {3 * j + 2} {3 * j + 3} 0\n"
+                                          for j in range(k))
+
+
+@pytest.mark.parametrize(
+    "argv, count, what",
+    [(["reduce", "3color", "index.cnf"], 2 * 9223372036854775807 + 3, "vertices"),
+     (["reduce", "3color", "huge.cnf"], 2 * 10**9 + 9, "vertices"),
+     (["reduce", "hamcycle", "huge.cnf"], 2 * 10**9 + 3, "vertices"),
+     (["reduce", "clique", "dense.cnf"], None, "edges")],
+    ids=["3color-index", "3color-huge", "hamcycle-huge", "clique-edges"],
+)
+def test_oversized_reduce_is_refused_before_building(argv, count, what, tmp_path):
+    # Headers of a few bytes, and a CLIQUE file one clause over the edge
+    # budget, are refused by their size rule, never by running out of memory.
+    (tmp_path / "index.cnf").write_text("p cnf 9223372036854775807 0\n")
+    (tmp_path / "huge.cnf").write_text("p cnf 1000000000 1\n1 0\n")
+    dense = _clique_one_clause_over_edge_budget()
+    (tmp_path / "dense.cnf").write_text(dense)
+    if count is None:
+        count = KINDS["clique"].num_edges(parse_dimacs(dense))
+    budget = cli.REDUCE_MAX_VERTICES if what == "vertices" else cli.REDUCE_MAX_EDGES
+    done = _run_capped(argv, tmp_path)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"budget exceeded: {count} {what} exceed the reduce budget of {budget}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, flags, what",
+    [("clique", [], "vertices"), ("clique", [], "edges"), ("3color", [], "vertices"),
+     ("hamcycle", [], "vertices"), ("hamcycle", ["--strict"], "vertices")],
+    ids=["clique-vertices", "clique-edges", "3color", "hamcycle", "hamcycle-strict"],
+)
+def test_reduce_admits_exactly_its_budget(kind, flags, what, tmp_path, monkeypatch, capsys):
+    cnf, out = tmp_path / "f.cnf", tmp_path / "inst.json"
+    cnf.write_text(TWO_CLAUSES)
+    graph = KINDS[kind].reduce(parse_dimacs(TWO_CLAUSES), bool(flags)).graph
+    size = {"vertices": len(graph.vertices), "edges": len(graph.edges)}
+    monkeypatch.setattr(cli, "REDUCE_MAX_VERTICES", size["vertices"])
+    monkeypatch.setattr(cli, "REDUCE_MAX_EDGES", size["edges"])
+    assert run_cli(["reduce", kind, str(cnf), "--json", str(out), *flags]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"{kind}: {size['vertices']} vertices, {size['edges']} edges")
+    out.unlink()
+
+    budget = size[what] - 1
+    monkeypatch.setattr(cli, f"REDUCE_MAX_{what.upper()}", budget)
+    built = []
+    monkeypatch.setattr(reductions, f"reduce_to_{kind}", lambda *args: built.append(args))
+    assert run_cli(["reduce", kind, str(cnf), "--json", str(out), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: {size[what]} {what} exceed the reduce budget of {budget}\n")
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [("clique", "p cnf 1000000000 0\n", "empty formula: nothing to reduce"),
+     ("hamcycle", "p cnf 1000000000 0\n", "at least one variable and one clause"),
+     ("3color", "p cnf 0 0\n", "reduction needs at least one variable"),
+     ("clique", "p cnf 4 1\n1 2 3 4 0\n", "formula is not 3-CNF"),
+     ("hamcycle", "p cnf 2 2\n1 0\n0\n", "empty clause cannot be reduced")],
+    ids=["clique-empty", "hamcycle-no-clause", "3color-no-variable", "clique-width-4",
+         "hamcycle-empty-clause"],
+)
+def test_reduce_rejections_under_the_budget_stay_usage_errors(kind, text, message, tmp_path,
+                                                             capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    assert run_cli(["reduce", kind, str(cnf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_python_m_satkit_cli_runs_main(cnf31):

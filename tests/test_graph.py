@@ -12,7 +12,6 @@ from satkit.graph import (
     find_clique,
     find_hamiltonian_cycle,
     find_k_coloring,
-    is_bipartite,
     iter_hamiltonian_cycles,
     to_dot,
     verify_clique,
@@ -115,33 +114,6 @@ def test_scc_partition_covers_vertices():
     assert set(comp) == {"a", "b", "c"}
 
 
-def test_bipartite_path_and_cycles():
-    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    coloring = is_bipartite(path)
-    assert coloring is not None and coloring["a"] == 0
-    assert coloring["b"] == 1 and coloring["c"] == 0
-    triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    assert is_bipartite(triangle) is None
-    square = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    coloring = is_bipartite(square)
-    assert coloring == {"a": 0, "b": 1, "c": 0, "d": 1}
-
-
-def test_bipartite_agrees_with_two_coloring_search():
-    rng = random.Random(6)
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        vs = [f"v{i}" for i in range(n)]
-        es = {tuple(sorted(rng.sample(vs, 2))) for _ in range(rng.randint(0, 2 * n))}
-        g = Graph(vs, es)
-        two = is_bipartite(g)
-        brute = find_k_coloring(g, 2)
-        assert (two is None) == (brute is None)
-        if two is not None:
-            shifted = {v: c + 1 for v, c in two.items()}
-            assert verify_coloring(g, shifted, 2)
-
-
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(1, 9))
@@ -150,13 +122,30 @@ def small_graphs(draw):
     return Graph(vs, draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else [])
 
 
+def _bfs_colors_plus_one(g):
+    # The first 2-coloring in vertex order gives each component's first
+    # vertex color 1, and every other vertex is forced.
+    ref = is_bipartite_reference(g)
+    return None if ref is None else {v: c + 1 for v, c in ref.items()}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_graphs())
-def test_bipartite_matches_reference(g):
-    got, want = is_bipartite(g), is_bipartite_reference(g)
-    assert got == want
-    if got is not None:
-        assert list(got.items()) == list(want.items())
+def test_two_coloring_search_matches_bfs_reference(g):
+    assert find_k_coloring(g, 2) == _bfs_colors_plus_one(g)
+
+
+def test_two_coloring_search_on_components_listed_out_of_order():
+    # a path a-b-c, an edge d-e, an isolated f, and a square w-x-y-z
+    vs = ["e", "z", "b", "a", "f", "x", "d", "w", "c", "y"]
+    es = [("a", "b"), ("b", "c"), ("d", "e"), ("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")]
+    g = Graph(vs, es)
+    want = {"e": 1, "z": 1, "b": 1, "a": 2, "f": 1, "x": 1, "d": 2, "w": 2, "c": 2, "y": 2}
+    assert find_k_coloring(g, 2) == _bfs_colors_plus_one(g) == want
+    # a triangle in any one component leaves no 2-coloring
+    triangle = Graph([*vs, "t"], [*es, ("t", "a"), ("t", "b")])
+    assert find_k_coloring(triangle, 2) is None
+    assert _bfs_colors_plus_one(triangle) is None
 
 
 @st.composite
@@ -187,16 +176,6 @@ def test_neighbour_lists_match_reference_on_reduction_graphs():
         for strict in (False, True):
             d = reduce_to_hamcycle(f, strict=strict).graph
             _same_lists(d.successors(), successors_reference(d))
-
-
-def test_bipartite_large_star_and_path():
-    n = 200_000
-    leaves = [f"v{i}" for i in range(1, n)]
-    star = is_bipartite(Graph(["v0", *leaves], [("v0", v) for v in leaves]))
-    assert star == {"v0": 0, **dict.fromkeys(leaves, 1)}
-    vs = [f"v{i}" for i in range(n)]
-    path = is_bipartite(Graph(vs, zip(vs, vs[1:])))
-    assert path == {v: i % 2 for i, v in enumerate(vs)}
 
 
 def _k(n):

@@ -26,16 +26,14 @@ SRC = Path(satkit.__file__).resolve().parents[1]
 EXPORTS = {
     "errors": ["BudgetExceededError"],
     "formula": [
-        "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "canonical",
-        "count_satisfied", "evaluate", "evaluate_dnf", "is_horn", "max_clause_width",
-        "parse_dimacs", "write_dimacs",
+        "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "SatResult",
+        "canonical", "count_satisfied", "evaluate", "evaluate_dnf", "is_horn",
+        "max_clause_width", "parse_dimacs", "write_dimacs",
     ],
-    "oracle": ["SatResult", "brute_force_sat", "equisatisfiable", "max_sat_decide",
-               "max_sat_optimum"],
+    "oracle": ["brute_force_sat", "equisatisfiable", "max_sat_decide", "max_sat_optimum"],
     "graph": [
         "Digraph", "Graph", "find_clique", "find_hamiltonian_cycle", "find_k_coloring",
-        "is_bipartite", "to_dot", "verify_clique", "verify_coloring",
-        "verify_hamiltonian_cycle",
+        "to_dot", "verify_clique", "verify_coloring", "verify_hamiltonian_cycle",
     ],
     "tractable": ["UpResult", "solve_2sat", "solve_dnf", "solve_horn", "unit_propagate"],
     "threecnf": ["ThreeCnfResult", "project_witness", "to_3cnf"],
@@ -147,6 +145,37 @@ def satkit_imports(module: str) -> list[tuple[str, bool]]:
     return found
 
 
+# Each module's top-level ``satkit`` imports. The fast paths in tractable
+# and the oracle that checks them share only the formula model, and the
+# graph layer holds no SAT code at all.
+LAYERS = {
+    "__init__": set(),
+    "_propagate": {"formula"},
+    "_record": set(),
+    "cli": {"errors", "formula"},
+    "cooklevin": {"_record", "errors", "formula", "turing"},
+    "errors": set(),
+    "formula": {"_record"},
+    "graph": {"_record", "errors"},
+    "oracle": {"errors", "formula"},
+    "reductions": {"_record", "formula", "graph"},
+    "threecnf": {"_record", "formula"},
+    "tractable": {"_record", "formula"},
+    "turing": {"_record"},
+}
+
+
+def test_each_module_imports_exactly_its_layer():
+    modules = sorted(p.stem for p in (SRC / "satkit").glob("*.py"))
+    assert sorted(LAYERS) == modules
+    for module in modules:
+        top = {name for name, nested in satkit_imports(module) if not nested}
+        assert top == LAYERS[module], module
+    assert {name for name, nested in satkit_imports("tractable") if nested} == {"_propagate"}
+    assert loaded_after("import satkit.tractable") == {"satkit", "tractable", "formula",
+                                                       "_record"}
+
+
 def test_propagation_kernel_shares_no_code_with_the_solvers():
     # A checker built on the kernel must not run the code of the solvers
     # whose answers it checks, and no CLI command may load the kernel by
@@ -172,10 +201,15 @@ def demo(name: str) -> str:
     return str(DEMO / name)
 
 
+# What solving a 2-CNF or Horn file must not load: the oracle and the graph
+# layer as much as the reductions and the machine code.
+FAST_PATH_FORBIDDEN = {"oracle", "graph", "threecnf", "reductions", "turing", "cooklevin"}
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, forbidden",
     [
-        (["solve", demo("example31.cnf")], 0, {"threecnf", "reductions", "turing", "cooklevin"}),
+        (["solve", demo("example31.cnf")], 0, FAST_PATH_FORBIDDEN),
         (["solve", "--method", "brute", demo("example31.cnf")], 0, {"tractable", "graph"}),
         (["maxsat", "--k", "4", demo("example33.cnf")], 1, {"tractable", "graph"}),
         (["reduce", "clique", demo("fig_clique.cnf")], 0,
@@ -193,6 +227,14 @@ def test_command_imports_only_its_modules(argv, exit_code, forbidden):
     loaded = cli_loaded(argv, exit_code)
     assert CLI_BASE <= loaded
     assert not loaded & forbidden
+
+
+def test_solve_horn_imports_only_the_fast_path(tmp_path):
+    horn = tmp_path / "horn.cnf"
+    horn.write_text("p cnf 3 3\n-1 -2 3 0\n1 0\n2 0\n")  # width 3, so not 2-SAT
+    loaded = cli_loaded(["solve", str(horn)], 0)
+    assert CLI_BASE | {"tractable"} <= loaded
+    assert not loaded & FAST_PATH_FORBIDDEN
 
 
 @pytest.mark.parametrize("command", ["verify", "translate"])
