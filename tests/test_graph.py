@@ -131,8 +131,23 @@ def _bfs_colors_plus_one(g):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_graphs())
-def test_two_coloring_search_matches_bfs_reference(g):
+def test_bipartite_matches_reference(g):
     assert find_k_coloring(g, 2) == _bfs_colors_plus_one(g)
+
+
+def test_bipartite_agrees_with_two_coloring_search():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        vs = [f"v{i}" for i in range(n)]
+        es = {tuple(sorted(rng.sample(vs, 2))) for _ in range(rng.randint(0, 2 * n))}
+        g = Graph(vs, es)
+        two = _bfs_colors_plus_one(g)
+        brute = find_k_coloring(g, 2)
+        assert (two is None) == (brute is None)
+        if two is not None:
+            assert verify_coloring(g, two, 2)
+            assert verify_coloring(g, brute, 2)
 
 
 def test_two_coloring_search_on_components_listed_out_of_order():
