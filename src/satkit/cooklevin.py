@@ -55,6 +55,9 @@ from .turing import BLANK, Configuration, MachineSpec, initial_configuration, st
 
 BOUNDARY = ("#",)
 
+# Encodings with more clauses than this are refused, never truncated.
+MAX_CLAUSES = 20_000_000
+
 
 def state_symbol(name: str) -> tuple[str, str]:
     return ("q", name)
@@ -276,11 +279,6 @@ def _irredundant(patterns, msz: int) -> tuple:
     return tuple(reversed(kept))
 
 
-def _single_getter(offset: int):
-    # itemgetter with one index returns the item itself, not a 1-tuple.
-    return lambda lits: (lits[offset],)
-
-
 def _window_domains(msz: int) -> list[range]:
     # Window cell c holding symbol index v is offset c * msz + v: the
     # position of its literal in the window's two 3-cell row slices.
@@ -318,9 +316,9 @@ def _window_offsets(windows, symbols) -> frozenset:
     )
 
 
-def _refusal(count: str, max_clauses: int) -> BudgetExceededError:
+def _refusal(count: str) -> BudgetExceededError:
     return BudgetExceededError(
-        f"{count} exceed the encoding budget of {max_clauses:,}; shrink the machine or p"
+        f"{count} exceed the encoding budget of {MAX_CLAUSES:,}; shrink the machine or p"
     )
 
 
@@ -328,7 +326,6 @@ def encode(
     m: MachineSpec,
     input_symbols: str | list[str],
     p: int,
-    max_clauses: int = 20_000_000,
     windows: str = "compact",
 ) -> tuple[CnfFormula, TableauSpec]:
     """CNF formula satisfiable iff ``m`` accepts the input within the tableau.
@@ -347,13 +344,13 @@ def encode(
       cell's at-least-one clause with kept patterns' clauses. The formula is
       logically equivalent to the full one over the same variables, so it
       has the same models and the same lexicographically first witness.
-      ``max_clauses`` bounds the exact number of clauses emitted, checked
-      before any clause is built. The clauses that need no pattern are
-      counted first, so a tableau they already put over the budget is
+      :data:`MAX_CLAUSES` bounds the exact number of clauses emitted,
+      checked before any clause is built. The clauses that need no pattern
+      are counted first, so a tableau they already put over the budget is
       refused before a new machine's patterns are computed.
     * ``"full"``: the paper-literal encoding, one 6-literal clause per
       illegal window content, about |universe|^6 per position.
-      ``max_clauses`` bounds (p-1)(p-2) * |universe|^6.
+      :data:`MAX_CLAUSES` bounds (p-1)(p-2) * |universe|^6.
 
     Encodings over the budget are refused, never truncated.
 
@@ -376,48 +373,50 @@ def encode(
 
     if windows == "full":
         move_clause_bound = positions * msz**6
-        if move_clause_bound > max_clauses:
-            raise _refusal(f"about {move_clause_bound:,} move clauses", max_clauses)
+        if move_clause_bound > MAX_CLAUSES:
+            raise _refusal(f"about {move_clause_bound:,} move clauses")
         legal = _window_offsets(_window_constraints(m)[0], spec.symbols)
         patterns = [w for w in product(*_window_domains(msz)) if w not in legal]
     else:
         # exactly-one per cell, row 1 and the accept clause: no pattern needed
         fixed = p * p * (1 + msz * (msz - 1) // 2) + p + 1
-        if fixed > max_clauses:
-            raise _refusal(f"at least {fixed:,} clauses", max_clauses)
+        if fixed > MAX_CLAUSES:
+            raise _refusal(f"at least {fixed:,} clauses")
         _, patterns = _window_constraints(m)
         total = fixed + positions * len(patterns)
-        if total > max_clauses:
-            raise _refusal(f"{total:,} clauses", max_clauses)
+        if total > MAX_CLAUSES:
+            raise _refusal(f"{total:,} clauses")
 
     clauses: list[tuple[int, ...]] = []
 
-    # Interned literal objects keep the big move-clause tuples compact.
-    pos = list(range(spec.num_vars + 1))
+    # One int object per negative literal, shared by every move clause that
+    # holds it, keeps the big move-clause tuples compact.
     neg = [-v for v in range(spec.num_vars + 1)]
 
     # Cell by cell: at least one symbol, then every pair excluded.
     for first in range(1, spec.num_vars + 1, msz):
-        clauses.append(tuple(pos[first : first + msz]))
+        clauses.append(tuple(range(first, first + msz)))
         clauses.extend(combinations(neg[first : first + msz], 2))
 
     # Row 1 is the start configuration between boundaries. At p-2 cells it
     # loses only the blank an empty input's configuration holds when p=3.
     for col, sym in enumerate((BOUNDARY, *_cells(start, p - 2), BOUNDARY), start=1):
-        clauses.append((pos[spec.var(1, col, sym)],))
+        clauses.append((spec.var(1, col, sym),))
 
     # The accept state's variable in every cell, cell by cell.
-    clauses.append(tuple(pos[spec.var(1, 1, state_symbol(m.q_accept)) :: msz]))
+    accept_var = spec.var(1, 1, state_symbol(m.q_accept))
+    clauses.append(tuple(range(accept_var, spec.num_vars + 1, msz)))
 
     # Patterns come in runs of one length (the compact ones by size). Each
     # run's getter picks the literals of all its clauses, as one flat tuple,
     # out of the negated literals of a window's top row cells followed by its
-    # bottom row cells; zip cuts the tuple back into clauses.
+    # bottom row cells; zip cuts the tuple back into clauses. Every run holds
+    # at least two offsets, so itemgetter always returns a tuple: full mode
+    # has only 6-cell patterns, and the compact one-cell run keeps both
+    # patterns with the boundary in a row's middle cell (cells 1 and 4).
     runs = []
     for width, run in groupby(patterns, key=len):
-        offsets = list(chain.from_iterable(run))
-        get = itemgetter(*offsets) if len(offsets) > 1 else _single_getter(offsets[0])
-        runs.append((width, get))
+        runs.append((width, itemgetter(*chain.from_iterable(run))))
     span = 3 * msz
     for row in range(1, p):
         for col in range(1, p - 1):

@@ -149,14 +149,9 @@ def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResul
     return SatResult(witness is not None, witness)
 
 
-def equisatisfiable(
-    f1: CnfFormula, f2: CnfFormula, max_vars: int = DEFAULT_MAX_VARS
-) -> bool:
+def equisatisfiable(f1: CnfFormula, f2: CnfFormula) -> bool:
     """True iff both formulas are satisfiable or both are unsatisfiable."""
-    return (
-        brute_force_sat(f1, max_vars).satisfiable
-        == brute_force_sat(f2, max_vars).satisfiable
-    )
+    return brute_force_sat(f1).satisfiable == brute_force_sat(f2).satisfiable
 
 
 def max_sat_optimum(

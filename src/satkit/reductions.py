@@ -93,9 +93,16 @@ class CliqueInstance(Record):
 
     @staticmethod
     def num_edges(f: CnfFormula) -> int:
-        """|E| as the clauses fix it. Only CLIQUE has this hook: its |E|
-        grows with |V|^2, the other two graphs' with |V|."""
-        return _clique_edge_count(_padded(f))
+        """|E| as the clauses fix it, without building the graph: all pairs
+        of the 3k occurrences, less the 3k pairs inside one clause and the
+        complementary pairs across clauses. Only CLIQUE has this hook: its
+        |E| grows with |V|^2, the other two graphs' with |V|."""
+        padded = _padded(f)
+        count = Counter(lit for clause in padded for lit in clause)
+        complementary = sum(count[lit] * count[-lit] for lit in count if lit > 0)
+        within = sum(a == -b for clause in padded for a, b in combinations(clause, 2))
+        m = 3 * len(padded)
+        return m * (m - 1) // 2 - m - (complementary - within)
 
     def verify(self, s: set[str]) -> bool:
         return verify_clique(self.graph, s, self.k)
@@ -152,17 +159,6 @@ def reduce_to_clique(f: CnfFormula) -> CliqueInstance:
     return CliqueInstance(
         Graph(vertices, edges), k, vertex_index, tuple(clause_slots), f, padded
     )
-
-
-def _clique_edge_count(padded: tuple[Clause, ...]) -> int:
-    """|E| of :func:`reduce_to_clique`'s graph without building it: all pairs
-    of the 3k occurrences, less the 3k pairs inside one clause and the
-    complementary pairs across clauses."""
-    count = Counter(lit for clause in padded for lit in clause)
-    complementary = sum(count[lit] * count[-lit] for lit in count if lit > 0)
-    within = sum(a == -b for clause in padded for a, b in combinations(clause, 2))
-    m = 3 * len(padded)
-    return m * (m - 1) // 2 - m - (complementary - within)
 
 
 clique_witness_to_assignment = CliqueInstance.to_assignment

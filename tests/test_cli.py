@@ -29,7 +29,7 @@ from satkit.reductions import (
     reduce_to_hamcycle,
 )
 from satkit.tractable import solve_2sat
-from satkit.turing import format_machine
+from satkit.turing import format_machine, parse_machine
 from support import branching_acceptor, build_equality_checker, one_step_acceptor
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
@@ -349,6 +349,70 @@ def test_tm_ntm(tmp_path, capsys):
     assert run_cli(["tm", "ntm", str(machine), "", "--depth", "3"]) == 1
 
 
+MACHINE_HEADERS = {
+    "states": "q0 acc rej", "input": "1", "tape": "1 _",
+    "start": "q0", "accept": "acc", "reject": "rej",
+}
+
+
+def _machine_text(*deltas, **headers):
+    fields = {**MACHINE_HEADERS, **headers}
+    return "".join(f"{key}: {fields[key]}\n" for key in MACHINE_HEADERS) + "".join(
+        f"delta: {d}\n" for d in deltas
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_machine_text(start="qx"), "state 'qx' not in state set", id="start"),
+        pytest.param(_machine_text(reject="qx"), "state 'qx' not in state set", id="reject"),
+        pytest.param(
+            _machine_text(tape="1"), "tape alphabet must contain blank and the input alphabet",
+            id="no-blank",
+        ),
+        pytest.param(
+            _machine_text(input="0"), "tape alphabet must contain blank and the input alphabet",
+            id="input-off-tape",
+        ),
+        pytest.param(
+            _machine_text("qx 1 -> acc 1 R"), "transition key ('qx', '1') out of range",
+            id="key-state",
+        ),
+        pytest.param(
+            _machine_text("q0 0 -> acc 1 R"), "transition key ('q0', '0') out of range",
+            id="key-symbol",
+        ),
+        pytest.param(
+            _machine_text("q0 1 -> qx 1 R"), "bad transition option ('qx', '1', 'R')",
+            id="option-state",
+        ),
+        pytest.param(
+            _machine_text("q0 1 -> acc 0 R"), "bad transition option ('acc', '0', 'R')",
+            id="option-symbol",
+        ),
+        pytest.param(
+            _machine_text(start="q0 acc"), "'start' header must name exactly one state",
+            id="two-start-states",
+        ),
+        pytest.param(
+            _machine_text(accept=""), "'accept' header must name exactly one state",
+            id="no-accept-state",
+        ),
+    ],
+)
+def test_machine_file_refusals(text, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as err:
+        parse_machine(text)
+    assert str(err.value) == message
+    machine = tmp_path / "bad.tm"
+    machine.write_text(text)
+    assert run_cli(["tm", "run", str(machine), "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cooklevin_cli(tmp_path, capsys):
     machine = tmp_path / "one.tm"
     machine.write_text(format_machine(one_step_acceptor()))
@@ -643,48 +707,141 @@ dimacs_texts = st.one_of(
     st.lists(dimacs_lines, max_size=6).map("\n".join),
     st.sampled_from([FIG_3CNF, EXAMPLE_31, EXAMPLE_33]),
 )
-CNF_COMMANDS = [["verify", "assignment"], ["solve"]] + [
-    ["solve", "--method", m] for m in ("2sat", "horn", "dnf", "brute")
+MACHINES = [format_machine(m()) for m in (one_step_acceptor, branching_acceptor)]
+machine_tokens = st.lists(
+    st.sampled_from(["q0", "acc", "rej", "qx", "1", "0", "_", "->", "L", "R"]), max_size=6
+).map(" ".join)
+
+
+def _retoken_line(text, at, tokens):
+    """``text`` with the tokens after the key of one of its lines replaced."""
+    lines = text.splitlines()
+    key = lines[at % len(lines)].partition(":")[0]
+    lines[at % len(lines)] = f"{key}: {tokens}"
+    return "\n".join(lines)
+
+
+machine_lines = st.builds(
+    "{}: {}".format, st.sampled_from([*MACHINE_HEADERS, "delta", "wat"]), machine_tokens
+)
+machine_texts = st.one_of(
+    st.text(max_size=20),
+    st.builds(_retoken_line, st.sampled_from(MACHINES), st.integers(0, 8), machine_tokens),
+    st.lists(machine_lines, max_size=9).map("\n".join),
+)
+# Every command line the contract property draws: each leaf subcommand, and
+# each kind of the commands that take one.
+CONTRACT_COMMANDS = [
+    ("solve",), ("maxsat",), ("to3cnf",),
+    ("reduce", "clique"), ("reduce", "hamcycle"), ("reduce", "3color"),
+    ("verify", "assignment"), ("verify", "clique"), ("verify", "hamcycle"), ("verify", "3color"),
+    ("translate",), ("tm", "run"), ("tm", "ntm"), ("cooklevin",),
 ]
-JSON_COMMANDS = [["verify", kind] for kind in INSTANCES] + [["translate"]]
+
+
+def _bounds(top):
+    return st.sampled_from([str(n) for n in range(-1, top + 1)])
 
 
 @st.composite
 def cli_cases(draw):
-    """A command, its instance text and its witness text, each possibly malformed."""
-    command = draw(st.sampled_from(CNF_COMMANDS + JSON_COMMANDS))
-    if command in CNF_COMMANDS:
-        kind = "assignment"
-        instance = draw(dimacs_texts)
-    else:
+    """A command line, its instance text and its witness text, each possibly
+    malformed. Arguments that start with @ name files in a scratch directory:
+    @instance and @witness hold the two texts, the others are outputs."""
+    command = draw(st.sampled_from(CONTRACT_COMMANDS))
+    argv = list(command)
+
+    def maybe(*args):
+        if draw(st.booleans()):
+            argv.extend(args)
+
+    if command in (("tm", "run"), ("tm", "ntm"), ("cooklevin",)):
+        argv += ["@instance", draw(st.sampled_from(["", "1", "11", "10", "#"]))]
+        if command == ("tm", "run"):
+            maybe("--limit", draw(_bounds(20)))
+            maybe("--trace")
+        elif command == ("tm", "ntm"):
+            argv += ["--depth", draw(_bounds(3))]
+        else:
+            argv += ["--steps", draw(_bounds(4))]
+            maybe("--out", "@out")
+            maybe("--map", "@map")
+        machine = draw(st.sampled_from(MACHINES) if draw(st.booleans()) else machine_texts)
+        return argv, machine, ""
+    if command[0] in ("verify", "translate") and command != ("verify", "assignment"):
         kind = command[1] if command[0] == "verify" else draw(st.sampled_from(sorted(INSTANCES)))
         instance = INSTANCES[kind] if draw(st.booleans()) else draw(instance_texts)
+        if command == ("translate",):
+            maybe("--out", "@out")
+        argv += ["@instance", "@witness"]
+    else:
+        kind = "assignment"
+        instance = draw(dimacs_texts)
+        if command == ("solve",):
+            maybe("--method", draw(st.sampled_from(["2sat", "horn", "dnf", "brute"])))
+            maybe("--witness", "@out")
+        elif command == ("maxsat",):
+            argv += ["--k", draw(_bounds(4))]
+            maybe("--witness", "@out")
+        elif command == ("to3cnf",):
+            maybe("--out", "@out")
+        elif command[0] == "reduce":
+            maybe("--strict")
+            maybe("--dot", "@dot")
+            maybe("--json", "@json")
+        argv += ["@instance", "@witness"] if command[0] == "verify" else ["@instance"]
     if draw(st.booleans()):
         value = draw(st.sampled_from([True, False, 1, 2, 3, "T", "s"]) | json_values)
-        return command, instance, _witness_shape(kind, value)
-    return command, instance, draw(witness_texts)
+        return argv, instance, _witness_shape(kind, value)
+    return argv, instance, draw(witness_texts)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(cli_cases())
-@example((["verify", "hamcycle"], INSTANCES["hamcycle"], NESTED_CYCLE))
-@example((["translate"], INSTANCES["hamcycle"], NESTED_CYCLE))
-@example((["verify", "assignment"], FIG_3CNF, DEEP_JSON))
-@example((["verify", "clique"], DEEP_JSON, "{}"))
-@example((["translate"], INSTANCES["3color"], DEEP_JSON))
-@example((["translate"], INSTANCES["3color"], '{"coloring": {"T": Infinity}}'))
+@example((["verify", "hamcycle", "@instance", "@witness"], INSTANCES["hamcycle"], NESTED_CYCLE))
+@example((["translate", "@instance", "@witness"], INSTANCES["hamcycle"], NESTED_CYCLE))
+@example((["verify", "assignment", "@instance", "@witness"], FIG_3CNF, DEEP_JSON))
+@example((["verify", "clique", "@instance", "@witness"], DEEP_JSON, "{}"))
+@example((["translate", "@instance", "@witness"], INSTANCES["3color"], DEEP_JSON))
+@example(
+    (["translate", "@instance", "@witness"], INSTANCES["3color"], '{"coloring": {"T": Infinity}}')
+)
 def test_cli_exit_code_contract_on_malformed_files(case):
-    command, instance, witness = case
+    argv, instance, witness = case
     with tempfile.TemporaryDirectory() as tmp:
-        inst_path = os.path.join(tmp, "instance.cnf")
-        witness_path = os.path.join(tmp, "witness.json")
-        with open(inst_path, "w", encoding="utf-8") as fh:
-            fh.write(instance)
-        with open(witness_path, "w", encoding="utf-8") as fh:
-            fh.write(witness)
-        paths = [inst_path] if command[0] == "solve" else [inst_path, witness_path]
+        for name, text in (("instance", instance), ("witness", witness)):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a[1:]) if a.startswith("@") else a for a in argv]
         # Anything raised fails the test: run_cli must map every input to a code.
-        assert run_cli([*command, *paths]) in (0, 1, 2, 3)
+        assert run_cli(argv) in (0, 1, 2, 3)
+
+
+def test_contract_property_draws_every_command():
+    drawn = set()
+    for words, _, sub in _leaf_commands(build_parser()):
+        kinds = [a.choices for a in sub._actions if a.dest == "kind"]
+        drawn |= {(*words, kind) for kind in kinds[0]} if kinds else {words}
+    assert drawn == set(CONTRACT_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        ({"num_vars": -1, "clauses": []}, "num_vars must be non-negative"),
+        ({"num_vars": 3, "clauses": [[1, 0, 2]]}, "literal 0 is not allowed inside a clause"),
+        ({"num_vars": 3, "clauses": [[1, -4]]}, "literal -4 exceeds declared variable count 3"),
+    ],
+)
+def test_verify_refuses_an_invalid_embedded_formula(formula, message, tmp_path, capsys):
+    inst = tmp_path / "c.json"
+    inst.write_text(_replace_field(INSTANCES["clique"], "formula", formula))
+    witness = tmp_path / "w.json"
+    witness.write_text('{"vertices": []}')
+    assert run_cli(["verify", "clique", str(inst), str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_refuses_mis_sized_instance_quickly(tmp_path, capsys):
@@ -785,7 +942,9 @@ def _wrong_entries(kind):
 @st.composite
 def wrong_typed_witness_cases(draw):
     """A command, a well-formed instance and a witness with one wrong-typed entry."""
-    command = draw(st.sampled_from(JSON_COMMANDS + [["verify", "assignment"]]))
+    command = draw(
+        st.sampled_from([list(c) for c in CONTRACT_COMMANDS if c[0] in ("verify", "translate")])
+    )
     kind = command[1] if command[0] == "verify" else draw(st.sampled_from(sorted(INSTANCES)))
     instance = FIG_3CNF if kind == "assignment" else INSTANCES[kind]
     return command, instance, _witness_shape(kind, draw(_wrong_entries(kind)))
@@ -842,13 +1001,15 @@ def test_readme_demo_block_runs_as_commented(tmp_path, monkeypatch, capsys):
 
 
 def _leaf_commands(parser, words=()):
-    """(command words, option strings other than help) of every leaf subcommand."""
+    """(command words, option strings other than help, parser) of every leaf
+    subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 yield from _leaf_commands(sub, (*words, name))
             return
-    yield words, {s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+    options = {s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+    yield words, options, parser
 
 
 def test_readme_cli_synopsis_matches_parser():
@@ -856,7 +1017,7 @@ def test_readme_cli_synopsis_matches_parser():
     lines = block.strip().splitlines()
     commands = list(_leaf_commands(build_parser()))
     assert len(lines) == len(commands)
-    for words, options in commands:
+    for words, options, _ in commands:
         [line] = [line for line in lines if line.startswith(" ".join(("satkit", *words, "")))]
         assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)) == options, line
 

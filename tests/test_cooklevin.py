@@ -127,16 +127,17 @@ def test_encode_guards():
         encode(m, "2", 5)
 
 
-def test_encode_refuses_oversized_machines():
+def test_encode_refuses_oversized_machines(monkeypatch):
     with pytest.raises(BudgetExceededError, match="encoding"):
         encode(build_equality_checker(), "1#1", 9, windows="full")
-    # the guard is adjustable for callers who know what they are doing
+    # the guard is the module constant, read at call time
     m = one_step_acceptor()
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", 1000)
     with pytest.raises(BudgetExceededError):
-        encode(m, "1", 4, max_clauses=1000, windows="full")
+        encode(m, "1", 4, windows="full")
 
 
-def test_encode_compact_clause_count_and_guard():
+def test_encode_compact_clause_count_and_guard(monkeypatch):
     m = one_step_acceptor()
     p = 4
     f, spec = encode(m, "1", p)
@@ -153,11 +154,15 @@ def test_encode_compact_clause_count_and_guard():
     assert len(f.clauses) == emitted
     assert f.num_vars == p * p * msz
     # the guard counts exactly the clauses that are emitted
-    assert encode(m, "1", p, max_clauses=emitted)[0] == f
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", emitted)
+    assert encode(m, "1", p)[0] == f
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", emitted - 1)
     with pytest.raises(BudgetExceededError, match="encoding"):
-        encode(m, "1", p, max_clauses=emitted - 1)
+        encode(m, "1", p)
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", 900)
     with pytest.raises(BudgetExceededError):
-        encode(m, "1", p, max_clauses=900)
+        encode(m, "1", p)
+    monkeypatch.undo()
     # a huge tableau is refused before any clause is built
     with pytest.raises(BudgetExceededError):
         encode(m, "1", 10**6)
@@ -462,6 +467,31 @@ def test_blocked_patterns_block_exactly_the_illegal_windows_on_random_machines(m
     _check_blocked_patterns_lemma(m)
 
 
+def _check_pattern_runs(m):
+    # encode groups the compact patterns into runs of one width and picks each
+    # run's literals with one itemgetter, which returns a tuple only when it
+    # is given two or more offsets; full mode has only 6-cell patterns
+    patterns = cooklevin._window_constraints(m)[1]
+    for width, run in itertools.groupby(patterns, key=len):
+        assert len(list(run)) * width >= 2, width
+    # the one-cell run always keeps the boundary in a row's middle cell
+    symbols = cooklevin._tableau_symbols(m)
+    boundary = symbols.index(BOUNDARY)
+    for cell in (1, 4):
+        assert (cell * len(symbols) + boundary,) in patterns
+
+
+@pytest.mark.parametrize("machine", [*tableau_battery(), build_equality_checker()])
+def test_every_pattern_run_has_two_offsets(machine):
+    _check_pattern_runs(machine)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(tiny_machines())
+def test_every_pattern_run_has_two_offsets_on_random_machines(m):
+    _check_pattern_runs(m)
+
+
 @pytest.mark.parametrize("word", ["1#1", "1#0", "#", "0#0"])
 def test_equality_checker_encodes_and_matches_run_dtm(word):
     m = build_equality_checker()
@@ -579,6 +609,9 @@ def test_spec_symbol_index():
     assert [spec.sym_index(s) for s in spec.symbols] == list(range(spec.num_symbols))
     with pytest.raises(ValueError, match="universe"):
         spec.var(1, 1, G("z"))
+    for row, col in ((0, 1), (1, 0), (5, 1), (1, 5)):
+        with pytest.raises(ValueError, match=rf"^cell \({row}, {col}\) outside the 4x4 tableau$"):
+            spec.var(row, col, G("1"))
 
 
 def test_var_map_entries():
@@ -669,15 +702,17 @@ def test_window_memo_stays_bounded(fresh_memo):
     assert cooklevin._window_constraints.cache_info().hits == hits + 1
 
 
-def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo):
+def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo, monkeypatch):
     m = one_step_acceptor()
     emitted = len(encode(m, "1", 4)[0].clauses)
     fresh_memo.clear()
     messages = []
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", emitted - 1)
     for _ in ("miss", "hit"):
         with pytest.raises(BudgetExceededError) as err:
-            encode(m, "1", 4, max_clauses=emitted - 1)
+            encode(m, "1", 4)
         messages.append(str(err.value))
+    monkeypatch.undo()
     assert messages[0] == messages[1]
     assert len(fresh_memo) == 1
     # the full-mode bound is checked before the memo is consulted
@@ -687,23 +722,26 @@ def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo):
     assert not fresh_memo
 
 
-def test_compact_budget_refuses_before_computing_patterns(fresh_memo):
+def test_compact_budget_refuses_before_computing_patterns(fresh_memo, monkeypatch):
     m = one_step_acceptor()
     p = 4
     msz = len(m.states) + len(m.tape_alphabet) + 1
     fixed = p * p * (1 + math.comb(msz, 2)) + p + 1  # clauses that need no pattern
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", fixed - 1)
     with pytest.raises(BudgetExceededError) as err:
-        encode(m, "1", p, max_clauses=fixed - 1)
+        encode(m, "1", p)
     assert str(err.value) == (
         f"at least {fixed:,} clauses exceed the encoding budget of {fixed - 1:,}; "
         "shrink the machine or p"
     )
+    monkeypatch.undo()
     with pytest.raises(BudgetExceededError, match="^at least"):
         encode(m, "1", 10**6)
     assert not fresh_memo
     # at the pattern-free count itself the patterns are computed and counted
+    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", fixed)
     with pytest.raises(BudgetExceededError, match=r"^[\d,]+ clauses exceed"):
-        encode(m, "1", p, max_clauses=fixed)
+        encode(m, "1", p)
     assert len(fresh_memo) == 1
 
 

@@ -257,8 +257,21 @@ def test_tautology_detection():
 
 
 def test_literal_zero_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^literal 0 is not allowed inside a clause$"):
         CnfFormula(2, [(1, 0)])
+
+
+def test_literal_beyond_num_vars_rejected():
+    with pytest.raises(ValueError, match="^literal -3 exceeds declared variable count 2$"):
+        CnfFormula(2, [(1, -3)])
+    with pytest.raises(ValueError, match="^literal 3 exceeds declared variable count 2$"):
+        DnfFormula(2, [(3,)])
+
+
+@pytest.mark.parametrize("cls", [CnfFormula, DnfFormula])
+def test_negative_num_vars_rejected(cls):
+    with pytest.raises(ValueError, match="^num_vars must be non-negative$"):
+        cls(-1)
 
 
 def test_witness_json_round_trip():

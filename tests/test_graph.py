@@ -254,12 +254,17 @@ def test_hamiltonian_verify():
     assert not verify_hamiltonian_cycle(tri, ["a", "c", "b"])
     assert not verify_hamiltonian_cycle(tri, ["a", "b", "b"])
     assert not verify_hamiltonian_cycle(tri, ["a", "b"])
+    # no self-loops, so a lone vertex has no cycle through it
+    assert not verify_hamiltonian_cycle(Digraph("a", []), ["a"])
 
 
 def test_hamiltonian_find():
     tri = Digraph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     assert find_hamiltonian_cycle(tri) == ["a", "b", "c"]
     assert find_hamiltonian_cycle(Digraph("ab", [])) is None
+    for vertices in ("", "a"):
+        assert list(iter_hamiltonian_cycles(Digraph(vertices, []))) == []
+        assert find_hamiltonian_cycle(Digraph(vertices, [])) is None
     both = Digraph("ab", [("a", "b"), ("b", "a")])
     assert find_hamiltonian_cycle(both) == ["a", "b"]
     with pytest.raises(BudgetExceededError):

@@ -257,6 +257,7 @@ def test_namespace_resolves_every_export():
             assert vars(satkit)[name] is getattr(mod, name), name  # cached after first use
         assert getattr(satkit, module) is mod
     assert sorted(satkit.__all__) == ALL_NAMES
+    assert {*ALL_NAMES, "__version__"} <= set(dir(satkit))
     assert satkit.__version__ == "0.1.0"
 
 
@@ -266,6 +267,15 @@ def test_star_import_binds_every_export():
     namespace.pop("__builtins__")
     assert sorted(namespace) == ALL_NAMES
     assert all(namespace[name] is getattr(satkit, name) for name in ALL_NAMES)
+
+
+def test_submodule_attribute_imports_the_submodule(monkeypatch):
+    # as if nothing had imported satkit.oracle yet; both are restored after
+    monkeypatch.delattr(satkit, "oracle", raising=False)
+    monkeypatch.delitem(sys.modules, "satkit.oracle", raising=False)
+    oracle = satkit.oracle
+    assert oracle is sys.modules["satkit.oracle"]
+    assert oracle.brute_force_sat.__module__ == "satkit.oracle"
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -547,7 +547,7 @@ def test_clique_edge_count_matches_built_graph():
         ]
         f = CnfFormula(n, clauses)
         want = len(reduce_to_clique(f).graph.edges)
-        assert reductions._clique_edge_count(reductions._padded(f)) == want, f
+        assert CliqueInstance.num_edges(f) == want, f
 
 
 @pytest.mark.parametrize(

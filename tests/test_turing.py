@@ -35,6 +35,8 @@ def test_machine_validation():
             {"q", "a", "r"}, {"1"}, {"1", BLANK},
             {("a", "1"): [("q", "1", "R")]}, "q", "a", "r",
         )
+    with pytest.raises(ValueError, match=r"^transition \('q', '1'\) has an empty option set$"):
+        MachineSpec({"q", "a", "r"}, {"1"}, {"1", BLANK}, {("q", "1"): []}, "q", "a", "r")
 
 
 def test_step_follows_listed_transition():
@@ -241,6 +243,12 @@ def test_machine_file_errors():
         parse_machine("states: q\nstates: q\n")
     with pytest.raises(ValueError, match="unknown directive"):
         parse_machine("wat: 1\n")
+
+
+@pytest.mark.parametrize("head", [-1, 4])
+def test_configuration_refuses_a_head_off_the_tape(head):
+    with pytest.raises(ValueError, match="^head must sit on the tape or one cell past it$"):
+        Configuration(("1", "0", "1"), head, "q")
 
 
 def test_configuration_render():
