@@ -66,8 +66,8 @@ class CnfFormula(Record):
 
     @classmethod
     def _trusted(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "CnfFormula":
-        # Validation-free path for callers that emit or parse millions of
-        # clauses they have already checked (tableau encodings, DIMACS).
+        # Validation-free path for callers that emit or parse many clauses
+        # they have already checked (tableau encodings, DIMACS, to_3cnf).
         obj = object.__new__(cls)
         object.__setattr__(obj, "num_vars", num_vars)
         object.__setattr__(obj, "clauses", clauses)

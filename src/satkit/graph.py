@@ -8,6 +8,12 @@ class attribute ``directed``. The exhaustive finders (`find_clique`,
 `find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
 fixed vertex budgets of 40, 32 and 24, past which they raise
 `BudgetExceededError`, and deterministic, first-in-canonical-order results.
+
+Each finder converts its graph to vertex indices once, searches on integer
+state, and converts only its result back to labels. A digraph with a
+vertex that lacks a successor or a predecessor has no Hamiltonian cycle
+and gets no search, and colourings are searched one connected component
+at a time; neither changes the first witness.
 """
 
 from __future__ import annotations
@@ -148,33 +154,61 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
     """All Hamiltonian cycles anchored at the first vertex, backtracking order.
 
     Anchoring at one fixed start vertex enumerates each cycle once up to
-    rotation (reversals of a directed cycle are distinct cycles).
+    rotation (reversals of a directed cycle are distinct cycles). A path
+    grows by its last vertex's successors in sorted label order, so the
+    cycles come out in depth-first order over ``g.successors()``. A
+    digraph in which some vertex has no successor or no predecessor yields
+    none, without a search. The search runs on indices in sorted label
+    order, with an explicit stack of successor iterators, ``used`` flags,
+    and a flag per vertex for an edge back to the start.
     """
     n = len(g.vertices)
     if n == 0 or n == 1:
         return
-    adj = g.successors()
-    start = g.vertices[0]
+    order = sorted(g.vertices)
+    at = {v: i for i, v in enumerate(order)}
+    start = at[g.vertices[0]]
+    succ: list[list[int]] = [[] for _ in order]
+    entered = [False] * n
+    closes = [False] * n  # has an edge to the start
+    for u, v in g.edges:
+        i, j = at[u], at[v]
+        succ[i].append(j)
+        entered[j] = True
+        if j == start:
+            closes[i] = True
+    if not all(succ) or not all(entered):
+        return
+    for heads in succ:
+        heads.sort()
     path = [start]
-    used = {start}
-
-    def extend() -> Iterator[list[str]]:
-        if len(path) == n:
-            if g.has_edge(path[-1], start):
-                yield list(path)
-            return
-        for w in adj[path[-1]]:
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                yield from extend()
-                path.pop()
-                used.discard(w)
-
-    yield from extend()
+    used = [False] * n
+    used[start] = True
+    stack = [iter(succ[start])]
+    last = n - 1  # the path length at which a vertex closes the cycle
+    while stack:
+        for w in stack[-1]:
+            if used[w]:
+                continue
+            if len(path) == last:
+                if closes[w]:
+                    yield [order[i] for i in path] + [order[w]]
+                continue
+            used[w] = True
+            path.append(w)
+            stack.append(iter(succ[w]))
+            break
+        else:
+            stack.pop()
+            used[path.pop()] = False
 
 
 def find_hamiltonian_cycle(g: Digraph) -> list[str] | None:
+    """The first cycle of :func:`iter_hamiltonian_cycles`, or None.
+
+    It comes from the same integer search and the same pre-check, so a
+    vertex without a successor or a predecessor gives None with no search.
+    """
     _within_budget(g, 32, "cycle")
     return next(iter_hamiltonian_cycles(g), None)
 
@@ -188,25 +222,60 @@ def verify_coloring(g: Graph, c: Mapping[str, int], k: int) -> bool:
 
 
 def find_k_coloring(g: Graph, k: int) -> Coloring | None:
-    """First valid k-coloring in vertex order, colors tried ascending."""
+    """First valid k-coloring in vertex order, colors tried ascending.
+
+    That is the coloring whose color sequence, read in ``g.vertices``
+    order, is lexicographically first. Components share no edge, so each
+    connected component is searched on its own, in vertex order, and the
+    first colorings of the components merge into the first coloring of
+    the graph; if any component has none, neither has the graph. The
+    search backtracks over vertex indices with one flat list of colors
+    (0 for none), and a vertex checks only its earlier neighbours, the
+    only ones colored when it is tried.
+    """
     _within_budget(g, 24, "coloring")
-    adj = g.adjacency()
-    order = list(g.vertices)
-    color: Coloring = {}
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for col in range(1, k + 1):
-            if all(color.get(w) != col for w in adj[v]):
-                color[v] = col
-                if assign(i + 1):
-                    return True
-                del color[v]
-        return False
-
-    return dict(color) if assign(0) else None
+    vertices = g.vertices
+    n = len(vertices)
+    at = {v: i for i, v in enumerate(vertices)}
+    neighbours: list[list[int]] = [[] for _ in vertices]
+    earlier: list[list[int]] = [[] for _ in vertices]
+    for u, v in g.edges:
+        i, j = at[u], at[v]
+        if i > j:
+            i, j = j, i
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+        earlier[j].append(i)
+    color = [0] * n
+    color_of = color.__getitem__
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component = [root]
+        for i in component:  # grows while it is walked: a breadth-first search
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        component.sort()
+        pos, size = 0, len(component)
+        while pos < size:
+            i = component[pos]
+            taken = set(map(color_of, earlier[i]))
+            c = color[i] + 1
+            while c in taken:
+                c += 1
+            if c <= k:
+                color[i] = c
+                pos += 1
+            elif pos:
+                color[i] = 0
+                pos -= 1
+            else:  # the component's first vertex has run out of colors
+                return None
+    return dict(zip(vertices, color))
 
 
 def _dot_quote(s: str) -> str:

@@ -63,7 +63,8 @@ def to_3cnf(f: CnfFormula) -> ThreeCnfResult:
                 out.append((-zs[i], clause[i + 2], zs[i + 1]))
             out.append((-zs[-1], clause[m - 2], clause[m - 1]))
             fresh.append(zs)
-    return ThreeCnfResult(CnfFormula(next_var - 1, out), tuple(fresh), f.num_vars)
+    # Every literal is one of f's, already checked, or a fresh variable below next_var.
+    return ThreeCnfResult(CnfFormula._trusted(next_var - 1, tuple(out)), tuple(fresh), f.num_vars)
 
 
 def project_witness(r: ThreeCnfResult, a3: Assignment) -> Assignment:

@@ -78,13 +78,15 @@ class MachineSpec(Record):
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q_accept", q_accept)
         object.__setattr__(self, "q_reject", q_reject)
+        # Not a field: run_dtm asks on every call, and the machine never changes.
+        object.__setattr__(self, "_deterministic", all(len(o) == 1 for o in norm.values()))
 
     def __hash__(self) -> int:
         # A dict has no hash; equal machines have equal states and transitions.
         return hash((self.states, frozenset(self.delta.items())))
 
     def is_deterministic(self) -> bool:
-        return all(len(opts) == 1 for opts in self.delta.values())
+        return self._deterministic
 
     def is_halting(self, state: str) -> bool:
         return state in (self.q_accept, self.q_reject)
@@ -153,6 +155,22 @@ def initial_configuration(m: MachineSpec, input_symbols: str | list[str]) -> Con
     return Configuration(symbols, 0, m.q0)
 
 
+def _apply(tape: list[str], head: int, option: Option) -> int:
+    """Write and move for one transition option, on ``tape`` in place.
+
+    Returns the new head. A left move at cell 0 keeps the head there, and a
+    right move past the last cell appends a blank, so the head always sits
+    on the tape.
+    """
+    tape[head] = option[1]
+    if option[2] == "L":
+        return head - 1 if head else 0
+    head += 1
+    if head == len(tape):
+        tape.append(BLANK)
+    return head
+
+
 def step(m: MachineSpec, c: Configuration, choice: int = 0) -> Configuration:
     """Apply one transition; ``choice`` indexes the canonical option order."""
     if m.is_halting(c.state):
@@ -160,11 +178,15 @@ def step(m: MachineSpec, c: Configuration, choice: int = 0) -> Configuration:
     options = m.options(c.state, c.read())
     if not 0 <= choice < len(options):
         raise ValueError(f"choice {choice} out of range for {len(options)} options")
-    new_state, written, direction = options[choice]
+    option = options[choice]
     tape = list(c.tape)
-    tape[c.head] = written
-    head = max(0, c.head - 1) if direction == "L" else c.head + 1
-    return Configuration(tape, head, new_state)
+    head = _apply(tape, c.head, option)
+    return Configuration(tape, head, option[0])
+
+
+def _check_limit(name: str, limit: int) -> None:
+    if limit < 0:
+        raise ValueError(f"{name} must be non-negative, got {limit}")
 
 
 def _verdict_for(m: MachineSpec, state: str) -> Verdict:
@@ -177,22 +199,36 @@ def run_dtm(
     step_limit: int,
     collect_trace: bool = False,
 ) -> RunOutcome:
-    """Run a deterministic machine up to ``step_limit`` steps."""
+    """Run a deterministic machine up to ``step_limit`` steps.
+
+    The run steps a raw tape list, head and state through the transition
+    helper that :func:`step` uses. Without a trace it builds two
+    :class:`Configuration` records, the initial and the final one, however
+    many steps it takes; with a trace it adds one per step. Raises
+    ``ValueError`` on a nondeterministic machine or a negative limit.
+    """
+    _check_limit("step_limit", step_limit)
     if not m.is_deterministic():
         raise ValueError("run_dtm requires a deterministic machine")
     c = initial_configuration(m, input_symbols)
     trace = [c] if collect_trace else None
+    tape, head, state = list(c.tape), c.head, c.state
+    options = m.options
+    halting = (m.q_accept, m.q_reject)
     steps = 0
-    while not m.is_halting(c.state) and steps < step_limit:
-        c = step(m, c)
+    while state not in halting and steps < step_limit:
+        option = options(state, tape[head])[0]
+        head = _apply(tape, head, option)
+        state = option[0]
         steps += 1
         if trace is not None:
-            trace.append(c)
-    if m.is_halting(c.state):
-        verdict: Verdict = _verdict_for(m, c.state)
+            trace.append(Configuration(tape, head, state))
+    if state in halting:
+        verdict: Verdict = _verdict_for(m, state)
     else:
         verdict = "step_limit_exceeded"
-    return RunOutcome(verdict, steps, c, tuple(trace) if trace is not None else None)
+    final = Configuration(tape, head, state)
+    return RunOutcome(verdict, steps, final, None if trace is None else tuple(trace))
 
 
 def run_ntm(
@@ -206,30 +242,42 @@ def run_ntm(
     choice string is returned. If no branch is live at some length the
     verdict is reject, with the last halted branch; if one is still live at
     ``depth_limit`` it is step_limit_exceeded, with the last live branch.
+
+    Branches are raw (tape list, head, state) triples stepped through the
+    transition helper that :func:`step` uses; only the initial and the
+    returned configuration are built as :class:`Configuration` records.
+    Raises ``ValueError`` on a negative limit.
     """
-    start = initial_configuration(m, input_symbols)
+    _check_limit("depth_limit", depth_limit)
+    c = initial_configuration(m, input_symbols)
+    start = (list(c.tape), c.head, c.state)
+    options = m.options
     last_live = start
     for length in range(depth_limit + 1):
         last_halted, halted_steps, any_live = start, 0, False
         path: list[int] = []
         stack = [(0, 0, start)]
         while stack:
-            depth, choice, c = stack.pop()
+            depth, choice, branch = stack.pop()
             if depth:
                 path[depth - 1 :] = (choice,)
-            if c.state == m.q_accept:
-                return RunOutcome("accept", depth, c), tuple(path)
-            if c.state == m.q_reject:
-                last_halted, halted_steps = c, depth
+            tape, head, state = branch
+            if state == m.q_accept:
+                return RunOutcome("accept", depth, Configuration(*branch)), tuple(path)
+            if state == m.q_reject:
+                last_halted, halted_steps = branch, depth
             elif depth == length:
-                any_live, last_live = True, c
+                any_live, last_live = True, branch
             else:
                 # Last choice pushed first, so the first choice pops first.
-                for i in reversed(range(len(m.options(c.state, c.read())))):
-                    stack.append((depth + 1, i + 1, step(m, c, i)))
+                opts = options(state, tape[head])
+                for i in reversed(range(len(opts))):
+                    child = list(tape)
+                    moved = _apply(child, head, opts[i])
+                    stack.append((depth + 1, i + 1, (child, moved, opts[i][0])))
         if not any_live:
-            return RunOutcome("reject", halted_steps, last_halted), None
-    return RunOutcome("step_limit_exceeded", depth_limit, last_live), None
+            return RunOutcome("reject", halted_steps, Configuration(*last_halted)), None
+    return RunOutcome("step_limit_exceeded", depth_limit, Configuration(*last_live)), None
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,57 @@ def is_bipartite_reference(g):
     return color
 
 
+def find_k_coloring_reference(g, k):
+    """``graph.find_k_coloring`` as first written: a recursive search over
+    the whole graph in vertex order, colors tried ascending, each checked
+    against every neighbour's entry in a label-keyed dict."""
+    adj = g.adjacency()
+    order = list(g.vertices)
+    color = {}
+
+    def assign(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for col in range(1, k + 1):
+            if all(color.get(w) != col for w in adj[v]):
+                color[v] = col
+                if assign(i + 1):
+                    return True
+                del color[v]
+        return False
+
+    return dict(color) if assign(0) else None
+
+
+def iter_hamiltonian_cycles_reference(g):
+    """``graph.iter_hamiltonian_cycles`` as first written: recursive
+    generators over label successor lists, the closing edge tested with
+    ``has_edge``, and no pre-check."""
+    n = len(g.vertices)
+    if n == 0 or n == 1:
+        return
+    adj = g.successors()
+    start = g.vertices[0]
+    path = [start]
+    used = {start}
+
+    def extend():
+        if len(path) == n:
+            if g.has_edge(path[-1], start):
+                yield list(path)
+            return
+        for w in adj[path[-1]]:
+            if w not in used:
+                used.add(w)
+                path.append(w)
+                yield from extend()
+                path.pop()
+                used.discard(w)
+
+    yield from extend()
+
+
 def bfs_ntm_accepts(m: MachineSpec, input_symbols, depth_limit: int) -> bool:
     """Breadth-first search over the configuration graph, the independent
     check for run_ntm."""
@@ -316,6 +367,27 @@ def write_dimacs_reference(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + (" 0" if clause else "0"))
     return "\n".join(lines) + "\n"
+
+
+def run_dtm_reference(m: MachineSpec, input_symbols, step_limit: int,
+                      collect_trace: bool = False) -> RunOutcome:
+    """``turing.run_dtm`` as first written: every step goes through the
+    public ``step`` and builds a new ``Configuration``."""
+    if not m.is_deterministic():
+        raise ValueError("run_dtm requires a deterministic machine")
+    c = initial_configuration(m, input_symbols)
+    trace = [c] if collect_trace else None
+    steps = 0
+    while not m.is_halting(c.state) and steps < step_limit:
+        c = step(m, c)
+        steps += 1
+        if trace is not None:
+            trace.append(c)
+    if m.is_halting(c.state):
+        verdict = "accept" if c.state == m.q_accept else "reject"
+    else:
+        verdict = "step_limit_exceeded"
+    return RunOutcome(verdict, steps, c, tuple(trace) if trace is not None else None)
 
 
 def run_ntm_reference(m: MachineSpec, input_symbols, depth_limit: int):

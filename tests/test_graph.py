@@ -23,7 +23,9 @@ from support import (
     adjacency_reference,
     check_dot,
     find_clique_reference,
+    find_k_coloring_reference,
     is_bipartite_reference,
+    iter_hamiltonian_cycles_reference,
     random_3cnf,
     scc_by_closure,
     scc_reference,
@@ -280,6 +282,65 @@ def test_hamiltonian_enumeration_is_rotation_free():
     assert cycles == [["a", "b", "c", "d"]]
     for c in cycles:
         assert verify_hamiltonian_cycle(square, c)
+
+
+@st.composite
+def coloring_search_cases(draw):
+    n = draw(st.integers(0, 10))
+    vs = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(vs, 2))
+    return Graph(vs, draw(st.lists(st.sampled_from(pairs), max_size=18)) if pairs else [])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(coloring_search_cases())
+def test_find_k_coloring_matches_the_whole_graph_reference(g):
+    # Labels are drawn in shuffled order, so components interleave in
+    # vertex order, and sparse draws leave isolated vertices.
+    for k in range(1, 5):
+        got, want = find_k_coloring(g, k), find_k_coloring_reference(g, k)
+        assert got == want, k
+        if got is not None:
+            assert list(got) == list(want) == list(g.vertices)
+
+
+@st.composite
+def cycle_search_cases(draw):
+    n = draw(st.integers(0, 7))
+    vs = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    pairs = list(itertools.permutations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    if vs and draw(st.booleans()):
+        # one vertex loses its out-edges (side 0) or its in-edges (side 1)
+        cut, side = draw(st.sampled_from(vs)), draw(st.integers(0, 1))
+        edges = [e for e in edges if e[side] != cut]
+    return Digraph(vs, edges)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cycle_search_cases())
+def test_iter_hamiltonian_cycles_matches_the_recursive_reference(g):
+    want = list(iter_hamiltonian_cycles_reference(g))
+    assert list(iter_hamiltonian_cycles(g)) == want
+    assert find_hamiltonian_cycle(g) == (want[0] if want else None)
+
+
+def test_coloring_search_ends_on_isolated_vertices_listed_before_a_k4():
+    vs = [f"i{n:02d}" for n in range(20)] + ["k0", "k1", "k2", "k3"]
+    g = Graph(vs, itertools.combinations(vs[20:], 2))
+    assert len(g.vertices) == 24
+    assert find_k_coloring(g, 3) is None
+
+
+@pytest.mark.parametrize("side", ["no successor", "no predecessor"])
+def test_cycle_search_ends_on_a_complete_digraph_with_a_dead_end_vertex(side):
+    vs = [f"v{i:02d}" for i in range(31)]
+    dead_end = [(v, "x") for v in vs] if side == "no successor" else [("x", v) for v in vs]
+    g = Digraph([*vs, "x"], [*itertools.permutations(vs, 2), *dead_end])
+    assert len(g.vertices) == 32
+    assert find_hamiltonian_cycle(g) is None
+    assert list(iter_hamiltonian_cycles(g)) == []
 
 
 def test_coloring_verify_and_find():

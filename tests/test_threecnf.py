@@ -72,6 +72,16 @@ def test_width_and_size_bounds_random():
         assert len(r.formula.clauses) <= bound
 
 
+def test_output_equals_the_validated_construction():
+    # to_3cnf builds its formula without re-validating it, so the validated
+    # constructor must accept the same clauses and build the same record.
+    rng = random.Random(41)
+    for _ in range(300):
+        f = random_cnf(rng, rng.randint(1, 6), rng.randint(0, 6), 7)
+        r = to_3cnf(f)
+        assert r.formula == CnfFormula(r.formula.num_vars, r.formula.clauses)
+
+
 def test_equisatisfiable_random():
     rng = random.Random(37)
     for _ in range(500):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satkit import turing
 from satkit.turing import (
     BLANK,
     Configuration,
@@ -20,6 +21,7 @@ from support import (
     build_equality_checker,
     machine_inputs,
     one_step_acceptor,
+    run_dtm_reference,
     run_ntm_reference,
     tableau_battery,
 )
@@ -165,7 +167,7 @@ def test_run_ntm_agrees_with_bfs_oracle():
 
 
 @st.composite
-def ntm_machines(draw):
+def ntm_machines(draw, deterministic=False):
     names = ["s0", "s1", "s2", "s3"][: draw(st.integers(2, 4))]
     q_accept, q_reject = draw(st.permutations(names))[:2]
     inputs = draw(st.sampled_from([{"1"}, {"0", "1"}]))
@@ -176,7 +178,7 @@ def ntm_machines(draw):
         if q in (q_accept, q_reject):
             continue
         for a in tape:
-            options = draw(st.lists(option, max_size=3))
+            options = draw(st.lists(option, max_size=1 if deterministic else 3))
             if options:
                 delta[(q, a)] = options
     # the start state is sometimes halting
@@ -198,6 +200,18 @@ def test_run_ntm_matches_replay_on_random_machines(m, data):
     _same_run(m, w, data.draw(st.integers(0, 5)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ntm_machines(deterministic=True), st.data())
+def test_run_dtm_matches_the_step_by_step_reference(m, data):
+    w = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=4))
+    for limit in range(31):
+        for traced in (False, True):
+            got = run_dtm(m, w, limit, traced)
+            want = run_dtm_reference(m, w, limit, traced)
+            # RunOutcome's == leaves the trace out, so compare it too.
+            assert (got, got.final, got.trace) == (want, want.final, want.trace), (w, limit)
+
+
 def test_run_ntm_matches_replay_on_battery():
     for m in tableau_battery():
         for w in machine_inputs(m, 2):
@@ -214,6 +228,58 @@ def test_run_ntm_deep_deterministic_run():
     assert d.verdict == "accept" and d.steps_used > 1000
     assert got == d and got.final == d.final
     assert choices == (1,) * d.steps_used
+
+
+def test_run_dtm_refuses_a_negative_step_limit():
+    with pytest.raises(ValueError, match="^step_limit must be non-negative, got -3$"):
+        run_dtm(build_equality_checker(), "1#1", -3)
+
+
+def test_run_ntm_refuses_a_negative_depth_limit():
+    with pytest.raises(ValueError, match="^depth_limit must be non-negative, got -1$"):
+        run_ntm(branching_acceptor(), "1", -1)
+
+
+@pytest.fixture
+def configurations_built(monkeypatch):
+    """A list that grows by one for each Configuration built."""
+    built = []
+    init = turing.Configuration.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(turing.Configuration, "__init__", counting)
+    return built
+
+
+LONG_EQUALITY = "10" * 12 + "#" + "10" * 12  # accepts after 1,250 steps
+
+
+@pytest.mark.parametrize("limit", [0, 1, 50])
+def test_untraced_run_dtm_builds_two_configurations(configurations_built, limit):
+    out = run_dtm(build_equality_checker(), LONG_EQUALITY, limit)
+    assert out.steps_used == limit
+    assert len(configurations_built) == 2
+
+
+@pytest.mark.parametrize("limit", [0, 1, 50])
+def test_traced_run_dtm_builds_a_configuration_per_step(configurations_built, limit):
+    out = run_dtm(build_equality_checker(), LONG_EQUALITY, limit, collect_trace=True)
+    assert len(out.trace) == limit + 1
+    assert len(configurations_built) <= out.steps_used + 2
+
+
+@pytest.mark.parametrize("machine, word, depth", [
+    (branching_acceptor(), "1", 3),
+    (branching_acceptor(), "11", 0),
+    (one_step_acceptor(), "", 4),
+    (build_equality_checker(), "10#10", 60),
+])
+def test_run_ntm_builds_at_most_two_configurations(configurations_built, machine, word, depth):
+    run_ntm(machine, word, depth)
+    assert len(configurations_built) <= 2
 
 
 def test_machine_file_round_trip():
