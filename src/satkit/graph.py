@@ -2,18 +2,18 @@
 
 Vertices are opaque string labels. :class:`Graph` is undirected with set
 semantics on edges, :class:`Digraph` is directed; parallel edges collapse
-and self-loops are rejected. The two share one constructor and one
-neighbour-list builder and differ in how an edge is stored and in the
-class attribute ``directed``. The exhaustive finders (`find_clique`,
-`find_hamiltonian_cycle`, `find_k_coloring`) are desk-scale oracles with
-fixed vertex budgets of 40, 32 and 24, past which they raise
-`BudgetExceededError`, and deterministic, first-in-canonical-order results.
+and self-loops are rejected. The two share one constructor and differ in
+how an edge is stored and in the class attribute ``directed``. The
+exhaustive finders (`find_clique`, `find_hamiltonian_cycle`,
+`find_k_coloring`) are desk-scale oracles with fixed vertex budgets of 40,
+32 and 24, past which they raise `BudgetExceededError`, and
+deterministic, first-in-canonical-order results.
 
 Each finder converts its graph to vertex indices once, searches on integer
-state, and converts only its result back to labels. A digraph with a
-vertex that lacks a successor or a predecessor has no Hamiltonian cycle
-and gets no search, and colourings are searched one connected component
-at a time; neither changes the first witness.
+state, and converts only its result back to labels. A digraph that is not
+strongly connected has no Hamiltonian cycle and gets no search, and
+colourings are searched one connected component at a time; neither
+changes the first witness.
 """
 
 from __future__ import annotations
@@ -42,19 +42,6 @@ def _freeze(g, vertices, edges: frozenset[tuple[str, str]]) -> None:
     object.__setattr__(g, "edges", edges)
 
 
-def _sorted_neighbours(g: Graph | Digraph) -> dict[str, list[str]]:
-    """Each vertex's neighbours in sorted order, keyed in vertex order."""
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].append(v)
-    if not g.directed:
-        for u, v in g.edges:
-            adj[v].append(u)
-    for heads in adj.values():
-        heads.sort()
-    return adj
-
-
 class Graph(Record):
     directed = False  # a class attribute, not a field
     vertices: tuple[str, ...]
@@ -65,10 +52,6 @@ class Graph(Record):
 
     def has_edge(self, u: str, v: str) -> bool:
         return tuple(sorted((u, v))) in self.edges
-
-    def adjacency(self) -> dict[str, list[str]]:
-        """Each vertex's neighbours in sorted order, keyed in vertex order."""
-        return _sorted_neighbours(self)
 
 
 class Digraph(Record):
@@ -81,10 +64,6 @@ class Digraph(Record):
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges
-
-    def successors(self) -> dict[str, list[str]]:
-        """Each vertex's successors in sorted order, keyed in vertex order."""
-        return _sorted_neighbours(self)
 
 
 def _within_budget(g: Graph | Digraph, budget: int, search: str) -> None:
@@ -156,11 +135,12 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
     Anchoring at one fixed start vertex enumerates each cycle once up to
     rotation (reversals of a directed cycle are distinct cycles). A path
     grows by its last vertex's successors in sorted label order, so the
-    cycles come out in depth-first order over ``g.successors()``. A
-    digraph in which some vertex has no successor or no predecessor yields
-    none, without a search. The search runs on indices in sorted label
-    order, with an explicit stack of successor iterators, ``used`` flags,
-    and a flag per vertex for an edge back to the start.
+    cycles come out in depth-first order over each vertex's successors
+    sorted by label. A digraph that is not strongly connected yields none,
+    without a search: one walk forward and one backward from the start
+    vertex must each reach every vertex. The search runs on indices in
+    sorted label order, with an explicit stack of successor iterators,
+    ``used`` flags, and a flag per vertex for an edge back to the start.
     """
     n = len(g.vertices)
     if n == 0 or n == 1:
@@ -169,16 +149,25 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
     at = {v: i for i, v in enumerate(order)}
     start = at[g.vertices[0]]
     succ: list[list[int]] = [[] for _ in order]
-    entered = [False] * n
-    closes = [False] * n  # has an edge to the start
+    pred: list[list[int]] = [[] for _ in order]
     for u, v in g.edges:
         i, j = at[u], at[v]
         succ[i].append(j)
-        entered[j] = True
-        if j == start:
-            closes[i] = True
-    if not all(succ) or not all(entered):
-        return
+        pred[j].append(i)
+    for heads in (succ, pred):
+        seen = [False] * n
+        seen[start] = True
+        reached = [start]
+        for i in reached:  # grows while it is walked: a breadth-first search
+            for j in heads[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    reached.append(j)
+        if len(reached) < n:
+            return
+    closes = [False] * n  # has an edge to the start
+    for i in pred[start]:
+        closes[i] = True
     for heads in succ:
         heads.sort()
     path = [start]
@@ -207,7 +196,7 @@ def find_hamiltonian_cycle(g: Digraph) -> list[str] | None:
     """The first cycle of :func:`iter_hamiltonian_cycles`, or None.
 
     It comes from the same integer search and the same pre-check, so a
-    vertex without a successor or a predecessor gives None with no search.
+    digraph that is not strongly connected gives None with no search.
     """
     _within_budget(g, 32, "cycle")
     return next(iter_hamiltonian_cycles(g), None)

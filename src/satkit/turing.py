@@ -193,6 +193,37 @@ def _verdict_for(m: MachineSpec, state: str) -> Verdict:
     return "accept" if state == m.q_accept else "reject"
 
 
+def _run_forced(
+    m: MachineSpec,
+    tape: list[str],
+    head: int,
+    state: str,
+    limit: int,
+    trace: list[Configuration] | None,
+) -> tuple[int, str, int]:
+    """Step ``tape`` in place while the run is forced.
+
+    A step is taken while the state is live, fewer than ``limit`` steps are
+    taken, and the state and read symbol have exactly one option. Each step
+    appends its configuration to ``trace`` unless that is None. Returns the
+    head, the state and the number of steps taken.
+    """
+    options = m.options
+    halting = (m.q_accept, m.q_reject)
+    steps = 0
+    while state not in halting and steps < limit:
+        opts = options(state, tape[head])
+        if len(opts) != 1:
+            break
+        option = opts[0]
+        head = _apply(tape, head, option)
+        state = option[0]
+        steps += 1
+        if trace is not None:
+            trace.append(Configuration(tape, head, state))
+    return head, state, steps
+
+
 def run_dtm(
     m: MachineSpec,
     input_symbols: str | list[str],
@@ -202,7 +233,8 @@ def run_dtm(
     """Run a deterministic machine up to ``step_limit`` steps.
 
     The run steps a raw tape list, head and state through the transition
-    helper that :func:`step` uses. Without a trace it builds two
+    helper that :func:`step` uses, in the loop that takes
+    :func:`run_ntm`'s forced prefix. Without a trace it builds two
     :class:`Configuration` records, the initial and the final one, however
     many steps it takes; with a trace it adds one per step. Raises
     ``ValueError`` on a nondeterministic machine or a negative limit.
@@ -212,18 +244,9 @@ def run_dtm(
         raise ValueError("run_dtm requires a deterministic machine")
     c = initial_configuration(m, input_symbols)
     trace = [c] if collect_trace else None
-    tape, head, state = list(c.tape), c.head, c.state
-    options = m.options
-    halting = (m.q_accept, m.q_reject)
-    steps = 0
-    while state not in halting and steps < step_limit:
-        option = options(state, tape[head])[0]
-        head = _apply(tape, head, option)
-        state = option[0]
-        steps += 1
-        if trace is not None:
-            trace.append(Configuration(tape, head, state))
-    if state in halting:
+    tape = list(c.tape)
+    head, state, steps = _run_forced(m, tape, c.head, c.state, step_limit, trace)
+    if m.is_halting(state):
         verdict: Verdict = _verdict_for(m, state)
     else:
         verdict = "step_limit_exceeded"
@@ -236,12 +259,18 @@ def run_ntm(
 ) -> tuple[RunOutcome, tuple[int, ...] | None]:
     """Deterministic simulation of a nondeterministic machine.
 
-    Iterative deepening: for each length 0..``depth_limit`` the choice tree
-    is walked depth first on an explicit stack, branches in lexicographic
-    order of their choice strings. The first accepting branch wins and its
-    choice string is returned. If no branch is live at some length the
-    verdict is reject, with the last halted branch; if one is still live at
-    ``depth_limit`` it is step_limit_exceeded, with the last live branch.
+    The run first takes its forced prefix once: the steps from the start
+    while the state is live and has a single option, up to
+    ``depth_limit``. Then iterative deepening: for each length from the
+    prefix's to ``depth_limit`` the choice tree below the prefix is walked
+    depth first on an explicit stack, branches in lexicographic order of
+    their choice strings. The first accepting branch wins and its choice
+    string, the prefix's 1s included, is returned. If no branch is live at
+    some length the verdict is reject, with the last halted branch; if one
+    is still live at ``depth_limit`` it is step_limit_exceeded, with the
+    last live branch. This is what a walk of every length from 0 would
+    give: below the prefix's length the prefix is the only branch, and it
+    is live.
 
     Branches are raw (tape list, head, state) triples stepped through the
     transition helper that :func:`step` uses; only the initial and the
@@ -250,16 +279,18 @@ def run_ntm(
     """
     _check_limit("depth_limit", depth_limit)
     c = initial_configuration(m, input_symbols)
-    start = (list(c.tape), c.head, c.state)
+    tape = list(c.tape)
+    head, state, forced = _run_forced(m, tape, c.head, c.state, depth_limit, None)
+    start = (tape, head, state)
     options = m.options
     last_live = start
-    for length in range(depth_limit + 1):
-        last_halted, halted_steps, any_live = start, 0, False
-        path: list[int] = []
-        stack = [(0, 0, start)]
+    for length in range(forced, depth_limit + 1):
+        last_halted, halted_steps, any_live = start, forced, False
+        path = [1] * forced
+        stack = [(forced, 0, start)]
         while stack:
             depth, choice, branch = stack.pop()
-            if depth:
+            if depth > forced:
                 path[depth - 1 :] = (choice,)
             tape, head, state = branch
             if state == m.q_accept:

@@ -105,7 +105,7 @@ def scc_reference(g: Digraph):
     successors in sorted label order.
     """
     at = {v: i for i, v in enumerate(g.vertices)}
-    succ = [[at[w] for w in heads] for heads in g.successors().values()]
+    succ = [[at[w] for w in heads] for heads in successors_reference(g).values()]
     emitted, count = tarjan_scc(succ)
     members = [[] for _ in range(count)]
     for v, c in zip(g.vertices, emitted):
@@ -131,8 +131,9 @@ def implication_graph_reference(f: CnfFormula) -> Digraph:
 
 
 def adjacency_reference(g):
-    """``Graph.adjacency`` as first written: one pass over the sorted edge
-    set, endpoints stored sorted, so each list comes out in sorted order."""
+    """Each vertex's neighbours in sorted label order, keyed in vertex order:
+    one pass over the sorted edge set, whose endpoints are stored sorted, so
+    each list comes out in sorted order."""
     adj = {v: [] for v in g.vertices}
     for u, v in sorted(g.edges):
         adj[u].append(v)
@@ -141,7 +142,8 @@ def adjacency_reference(g):
 
 
 def successors_reference(g):
-    """``Digraph.successors`` as first written, over the sorted edge set."""
+    """Each vertex's successors in sorted label order, keyed in vertex order:
+    one pass over the sorted edge set."""
     adj = {v: [] for v in g.vertices}
     for u, v in sorted(g.edges):
         adj[u].append(v)
@@ -163,7 +165,7 @@ def is_bipartite_reference(g):
     """BFS 2-coloring with colors {0, 1}, or None: roots in vertex order get
     color 0, and the queue is a list popped from the front. Shifted by one,
     it is the coloring ``graph.find_k_coloring(g, 2)`` must return."""
-    adj = g.adjacency()
+    adj = adjacency_reference(g)
     color = {}
     for start in g.vertices:
         if start in color:
@@ -185,7 +187,7 @@ def find_k_coloring_reference(g, k):
     """``graph.find_k_coloring`` as first written: a recursive search over
     the whole graph in vertex order, colors tried ascending, each checked
     against every neighbour's entry in a label-keyed dict."""
-    adj = g.adjacency()
+    adj = adjacency_reference(g)
     order = list(g.vertices)
     color = {}
 
@@ -211,7 +213,7 @@ def iter_hamiltonian_cycles_reference(g):
     n = len(g.vertices)
     if n == 0 or n == 1:
         return
-    adj = g.successors()
+    adj = successors_reference(g)
     start = g.vertices[0]
     path = [start]
     used = {start}

@@ -35,7 +35,7 @@ from satkit.reductions import (
     reduce_to_clique,
     reduce_to_hamcycle,
 )
-from support import check_dot, random_3cnf
+from support import adjacency_reference, check_dot, random_3cnf
 
 FIG_EXAMPLE = CnfFormula(3, [(1, 2, 3), (1, -2, 3), (-1, 2, -3)])
 
@@ -345,7 +345,7 @@ def test_3color_every_coloring_forces_true():
     inst = reduce_to_3color(f)
     g = inst.graph
     order = list(g.vertices)
-    adj = g.adjacency()
+    adj = adjacency_reference(g)
     count = 0
 
     def extend(i, colors):

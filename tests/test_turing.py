@@ -282,6 +282,53 @@ def test_run_ntm_builds_at_most_two_configurations(configurations_built, machine
     assert len(configurations_built) <= 2
 
 
+@pytest.fixture
+def transitions_applied(monkeypatch):
+    """A list that grows by one for each transition option applied."""
+    applied = []
+    apply = turing._apply
+
+    def counting(tape, head, option):
+        applied.append(option)
+        return apply(tape, head, option)
+
+    monkeypatch.setattr(turing, "_apply", counting)
+    return applied
+
+
+def test_deep_deterministic_run_ntm_applies_each_step_once(transitions_applied):
+    got, choices = run_ntm(build_equality_checker(), LONG_EQUALITY, 1500)
+    assert got.verdict == "accept"
+    assert len(transitions_applied) == got.steps_used == 1250
+    assert choices == (1,) * 1250
+
+
+def _forced_then(k, then):
+    """From the empty input, k single-option steps right over blanks, then
+    ``then``: a halting state, or ``m``, which may keep walking right or
+    step back to ``n``, which accepts on the 1 written there."""
+    chain = [f"p{i}" for i in range(k)] + [then]
+    delta = {(q, BLANK): [(r, "1", "R")] for q, r in zip(chain, chain[1:])}
+    delta[("m", BLANK)] = [("m", "1", "R"), ("n", BLANK, "L")]
+    delta[("n", "1")] = [("acc", "1", "R")]
+    states = {*chain, "m", "n", "acc", "rej"}
+    return MachineSpec(states, {"1"}, {"1", BLANK}, delta, chain[0], "acc", "rej")
+
+
+@pytest.mark.parametrize("then, depth, verdict", [
+    ("m", 4, "step_limit_exceeded"),  # the limit falls inside the prefix
+    ("m", 5, "step_limit_exceeded"),  # ... on the branching state
+    ("m", 6, "step_limit_exceeded"),  # ... one step below it
+    ("m", 7, "accept"),  # the second choice at the branch accepts a step later
+    ("acc", 8, "accept"),  # the prefix accepts before the limit
+    ("rej", 8, "reject"),  # the prefix rejects before the limit
+])
+def test_run_ntm_after_a_forced_prefix_matches_replay(then, depth, verdict):
+    m = _forced_then(5, then)
+    _same_run(m, "", depth)
+    assert run_ntm(m, "", depth)[0].verdict == verdict
+
+
 def test_machine_file_round_trip():
     for m in tableau_battery() + [build_equality_checker()]:
         assert parse_machine(format_machine(m)) == m
