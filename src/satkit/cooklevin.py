@@ -18,17 +18,17 @@ The per-variable meaning is "cell (row, col) holds symbol s". Constraints:
   exclusions),
 * row 1 is pinned by unit clauses,
 * some cell holds the accept state (one wide clause),
-* every 2x3 window of two consecutive rows is legal. By default each window
-  position gets one clause per pattern of an irredundant subset of the
-  *minimal blocked patterns*: assignments of symbols to 1-6 of the window's
-  cells that no legal window matches, while every pattern obtained by
-  dropping one of its cells does occur in some legal window. These are the
-  prime implicants of "the window is illegal"; together with the
-  at-least-one cell clauses they are equivalent to the paper-literal
-  constraint, which ``windows="full"`` still emits: one 6-literal clause
-  per illegal window content per position. A prime is left out when
-  resolving a cell's at-least-one clause with kept patterns' clauses gives
-  a clause that subsumes its own, so the equivalence holds.
+* every 2x3 window of two consecutive rows is legal. Each window position
+  gets one clause per pattern of an irredundant subset of the *minimal
+  blocked patterns*: assignments of symbols to 1-6 of the window's cells
+  that no legal window matches, while every pattern obtained by dropping
+  one of its cells does occur in some legal window. These are the prime
+  implicants of "the window is illegal"; together with the at-least-one
+  cell clauses they are equivalent to the paper-literal constraint, one
+  6-literal clause per illegal window content per position. A prime is
+  left out when resolving a cell's at-least-one clause with kept
+  patterns' clauses gives a clause that subsumes its own, so the
+  equivalence holds.
 
 Legal windows are generated machine-locally by two rules. Copies: a window
 of tape symbols, boundaries and at most one halted state may repeat
@@ -248,7 +248,7 @@ def blocked_patterns(legal, domains) -> list[tuple[tuple[int, ...], tuple]]:
 def _irredundant(patterns, msz: int) -> tuple:
     """The patterns left after dropping each one that the others imply.
 
-    ``patterns`` are ascending window offsets (see :func:`_window_domains`).
+    ``patterns`` are ascending window offsets (c * msz + v: cell c holds v).
     Walking from the last (widest) pattern to the first, P is dropped when
     some cell c outside P has, for each of its ``msz`` values v, a kept
     pattern R + {c: v} with R a proper sub-pattern of P: resolving c's
@@ -279,12 +279,6 @@ def _irredundant(patterns, msz: int) -> tuple:
     return tuple(reversed(kept))
 
 
-def _window_domains(msz: int) -> list[range]:
-    # Window cell c holding symbol index v is offset c * msz + v: the
-    # position of its literal in the window's two 3-cell row slices.
-    return [range(c * msz, (c + 1) * msz) for c in range(6)]
-
-
 @lru_cache(maxsize=32)
 def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
     """Legal windows and the window patterns that :func:`encode` emits.
@@ -296,24 +290,18 @@ def _window_constraints(m: MachineSpec) -> tuple[frozenset, tuple]:
     machines share an entry, and ``cache_info()`` counts its hits and
     misses. The windows are a frozenset of :class:`WindowTemplate`; the
     patterns are the :func:`_irredundant` subset of the value tuples of
-    :func:`blocked_patterns` over :func:`_window_domains`, as window
-    offsets, in their original order.
+    :func:`blocked_patterns` over window offsets, in their original order.
     """
     windows = frozenset(_legal_windows(m))
     symbols = _tableau_symbols(m)
     msz = len(symbols)
-    legal = _window_offsets(windows, symbols)
-    primes = [vals for _, vals in blocked_patterns(legal, _window_domains(msz))]
-    return windows, _irredundant(primes, msz)
-
-
-def _window_offsets(windows, symbols) -> frozenset:
-    # Each window as the 6-tuple of its cells' offsets (see _window_domains).
-    msz = len(symbols)
+    # Window cell c holding symbol index v is offset c * msz + v: the
+    # position of its literal in the window's two 3-cell row slices.
     index = {s: i for i, s in enumerate(symbols)}
-    return frozenset(
-        tuple(c * msz + index[s] for c, s in enumerate(w.top + w.bottom)) for w in windows
-    )
+    legal = {tuple(c * msz + index[s] for c, s in enumerate(w.top + w.bottom)) for w in windows}
+    domains = [range(c * msz, (c + 1) * msz) for c in range(6)]
+    primes = [vals for _, vals in blocked_patterns(legal, domains)]
+    return windows, _irredundant(primes, msz)
 
 
 def _refusal(count: str) -> BudgetExceededError:
@@ -323,10 +311,7 @@ def _refusal(count: str) -> BudgetExceededError:
 
 
 def encode(
-    m: MachineSpec,
-    input_symbols: str | list[str],
-    p: int,
-    windows: str = "compact",
+    m: MachineSpec, input_symbols: str | list[str], p: int
 ) -> tuple[CnfFormula, TableauSpec]:
     """CNF formula satisfiable iff ``m`` accepts the input within the tableau.
 
@@ -335,57 +320,42 @@ def encode(
     ``turing.initial_configuration`` (which also checks the input alphabet)
     rendered by :func:`_cells` as p-2 cells between two boundaries.
 
-    ``windows`` selects the move constraints emitted at each of the
-    (p-1)(p-2) window positions:
+    Each of the (p-1)(p-2) window positions gets one clause per pattern of
+    an irredundant subset of the minimal blocked patterns (see
+    :func:`blocked_patterns`), at most 6 literals each; each prime left out
+    is a resolvent of a cell's at-least-one clause with kept patterns'
+    clauses. The formula is logically equivalent to the paper-literal one
+    over the same variables, one 6-literal clause per illegal window
+    content, so it has the same models and the same lexicographically
+    first witness.
 
-    * ``"compact"`` (default): one clause per pattern of an irredundant
-      subset of the minimal blocked patterns (see :func:`blocked_patterns`),
-      at most 6 literals each; each prime left out is a resolvent of a
-      cell's at-least-one clause with kept patterns' clauses. The formula is
-      logically equivalent to the full one over the same variables, so it
-      has the same models and the same lexicographically first witness.
-      :data:`MAX_CLAUSES` bounds the exact number of clauses emitted,
-      checked before any clause is built. The clauses that need no pattern
-      are counted first, so a tableau they already put over the budget is
-      refused before a new machine's patterns are computed.
-    * ``"full"``: the paper-literal encoding, one 6-literal clause per
-      illegal window content, about |universe|^6 per position.
-      :data:`MAX_CLAUSES` bounds (p-1)(p-2) * |universe|^6.
+    :data:`MAX_CLAUSES` bounds the exact number of clauses emitted, checked
+    before any clause is built; encodings over it are refused, never
+    truncated. The clauses that need no pattern are counted first, so a
+    tableau they already put over the budget is refused before a new
+    machine's patterns are computed.
 
-    Encodings over the budget are refused, never truncated.
-
-    The legal windows and the blocked patterns depend on the machine alone.
-    They are computed once per machine and reused across inputs and values
-    of p while the machine stays in the LRU cache of
-    :func:`_window_constraints`. The compact mode only picks each pattern's
-    literals out of each window position's cells; the full mode writes the
-    legal windows over symbol indices on each call.
+    The blocked patterns depend on the machine alone. They are computed
+    once per machine and reused across inputs and values of p while the
+    machine stays in the LRU cache of :func:`_window_constraints`; each
+    call only picks each pattern's literals out of each window position's
+    cells.
     """
-    if windows not in ("compact", "full"):
-        raise ValueError(f"unknown windows mode {windows!r}: use 'compact' or 'full'")
     symbols = tuple(input_symbols)
     start = initial_configuration(m, symbols)
     if p < len(symbols) + 3:
         raise ValueError(f"p={p} too small: need at least {len(symbols) + 3}")
     spec = TableauSpec(p, _tableau_symbols(m))
     msz = spec.num_symbols
-    positions = (p - 1) * (p - 2)
 
-    if windows == "full":
-        move_clause_bound = positions * msz**6
-        if move_clause_bound > MAX_CLAUSES:
-            raise _refusal(f"about {move_clause_bound:,} move clauses")
-        legal = _window_offsets(_window_constraints(m)[0], spec.symbols)
-        patterns = [w for w in product(*_window_domains(msz)) if w not in legal]
-    else:
-        # exactly-one per cell, row 1 and the accept clause: no pattern needed
-        fixed = p * p * (1 + msz * (msz - 1) // 2) + p + 1
-        if fixed > MAX_CLAUSES:
-            raise _refusal(f"at least {fixed:,} clauses")
-        _, patterns = _window_constraints(m)
-        total = fixed + positions * len(patterns)
-        if total > MAX_CLAUSES:
-            raise _refusal(f"{total:,} clauses")
+    # exactly-one per cell, row 1 and the accept clause: no pattern needed
+    fixed = p * p * (1 + msz * (msz - 1) // 2) + p + 1
+    if fixed > MAX_CLAUSES:
+        raise _refusal(f"at least {fixed:,} clauses")
+    _, patterns = _window_constraints(m)
+    total = fixed + (p - 1) * (p - 2) * len(patterns)
+    if total > MAX_CLAUSES:
+        raise _refusal(f"{total:,} clauses")
 
     clauses: list[tuple[int, ...]] = []
 
@@ -407,13 +377,12 @@ def encode(
     accept_var = spec.var(1, 1, state_symbol(m.q_accept))
     clauses.append(tuple(range(accept_var, spec.num_vars + 1, msz)))
 
-    # Patterns come in runs of one length (the compact ones by size). Each
-    # run's getter picks the literals of all its clauses, as one flat tuple,
-    # out of the negated literals of a window's top row cells followed by its
-    # bottom row cells; zip cuts the tuple back into clauses. Every run holds
-    # at least two offsets, so itemgetter always returns a tuple: full mode
-    # has only 6-cell patterns, and the compact one-cell run keeps both
-    # patterns with the boundary in a row's middle cell (cells 1 and 4).
+    # Patterns come in runs of one size. Each run's getter picks the literals
+    # of all its clauses, as one flat tuple, out of the negated literals of a
+    # window's top row cells followed by its bottom row cells; zip cuts the
+    # tuple back into clauses. Every run holds at least two offsets, so
+    # itemgetter always returns a tuple: the one-cell run keeps both patterns
+    # with the boundary in a row's middle cell (cells 1 and 4).
     runs = []
     for width, run in groupby(patterns, key=len):
         runs.append((width, itemgetter(*chain.from_iterable(run))))

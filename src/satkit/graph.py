@@ -11,9 +11,10 @@ deterministic, first-in-canonical-order results.
 
 Each finder converts its graph to vertex indices once, searches on integer
 state, and converts only its result back to labels. A digraph that is not
-strongly connected has no Hamiltonian cycle and gets no search, and
-colourings are searched one connected component at a time; neither
-changes the first witness.
+strongly connected, or in which two vertices have the same sole successor
+or the same sole predecessor, has no Hamiltonian cycle and gets no search,
+and colourings are searched one connected component at a time; none of
+this changes the first witness.
 """
 
 from __future__ import annotations
@@ -136,11 +137,14 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
     rotation (reversals of a directed cycle are distinct cycles). A path
     grows by its last vertex's successors in sorted label order, so the
     cycles come out in depth-first order over each vertex's successors
-    sorted by label. A digraph that is not strongly connected yields none,
-    without a search: one walk forward and one backward from the start
-    vertex must each reach every vertex. The search runs on indices in
-    sorted label order, with an explicit stack of successor iterators,
-    ``used`` flags, and a flag per vertex for an edge back to the start.
+    sorted by label. Two pre-checks yield none without a search: a digraph
+    that is not strongly connected (one walk forward and one backward from
+    the start vertex must each reach every vertex), and one where two
+    vertices have the same sole successor or the same sole predecessor
+    (that vertex's one cycle edge in or out cannot serve both). The search
+    runs on indices in sorted label order, with an explicit stack of
+    successor iterators, ``used`` flags, and a flag per vertex for an edge
+    back to the start.
     """
     n = len(g.vertices)
     if n == 0 or n == 1:
@@ -155,6 +159,11 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
         succ[i].append(j)
         pred[j].append(i)
     for heads in (succ, pred):
+        # A vertex with one successor (predecessor) must use that edge, and
+        # two such vertices cannot share the vertex it leads to (comes from).
+        sole = [h[0] for h in heads if len(h) == 1]
+        if len(set(sole)) < len(sole):
+            return
         seen = [False] * n
         seen[start] = True
         reached = [start]
@@ -195,8 +204,9 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
 def find_hamiltonian_cycle(g: Digraph) -> list[str] | None:
     """The first cycle of :func:`iter_hamiltonian_cycles`, or None.
 
-    It comes from the same integer search and the same pre-check, so a
-    digraph that is not strongly connected gives None with no search.
+    It comes from the same integer search and the same pre-checks, so a
+    digraph that is not strongly connected, or whose vertices share a sole
+    successor or a sole predecessor, gives None with no search.
     """
     _within_budget(g, 32, "cycle")
     return next(iter_hamiltonian_cycles(g), None)

@@ -564,6 +564,57 @@ def legal_windows_reference(m: MachineSpec) -> set[WindowTemplate]:
     return legal
 
 
+def encode_full_reference(m: MachineSpec, word, p: int) -> CnfFormula:
+    """The paper-literal tableau encoding (Cook 1971) that the compact
+    ``cooklevin.encode`` must be logically equivalent to.
+
+    Variables are numbered cell by cell, row-major, each cell's symbols in
+    the order states, tape symbols, boundary (sorted within each kind).
+    Clauses, in order: each cell's at-least-one clause and pairwise
+    exclusions, the row-1 unit clauses ``# q0 word blanks #`` cut to p
+    cells, the accept clause over every cell, and at each of the
+    (p-1)(p-2) window positions one 6-literal clause per illegal window
+    content: top row then bottom row, contents in ``product`` order over
+    the symbols. The windows
+    come from :func:`legal_windows_reference`, so nothing here is shared
+    with the library's encoder.
+    """
+    symbols = (
+        [state_symbol(s) for s in sorted(m.states)]
+        + [tape_symbol(s) for s in sorted(m.tape_alphabet)]
+        + [BOUNDARY]
+    )
+    msz = len(symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+
+    def var(row, col, sym):
+        return ((row - 1) * p + col - 1) * msz + index[sym] + 1
+
+    clauses = []
+    for row in range(1, p + 1):
+        for col in range(1, p + 1):
+            cell = [var(row, col, s) for s in symbols]
+            clauses.append(tuple(cell))
+            clauses.extend((-a, -b) for a, b in itertools.combinations(cell, 2))
+    row1 = [state_symbol(m.q0)] + [tape_symbol(s) for s in word] + [tape_symbol(BLANK)] * p
+    for col, sym in enumerate([BOUNDARY, *row1[: p - 2], BOUNDARY], start=1):
+        clauses.append((var(1, col, sym),))
+    accept = state_symbol(m.q_accept)
+    clauses.append(
+        tuple(var(row, col, accept) for row in range(1, p + 1) for col in range(1, p + 1))
+    )
+    legal = [w.top + w.bottom for w in legal_windows_reference(m)]
+    for row in range(1, p):
+        for col in range(1, p - 1):
+            cells = [(row + c // 3, col + c % 3) for c in range(6)]
+            negated = [[-var(r, c, s) for s in symbols] for r, c in cells]
+            allowed = {tuple(-var(r, c, s) for (r, c), s in zip(cells, w)) for w in legal}
+            contents = itertools.product(*negated)
+            clauses.extend(itertools.filterfalse(allowed.__contains__, contents))
+    # every literal is in range by construction
+    return CnfFormula._trusted(p * p * msz, tuple(clauses))
+
+
 def one_step_acceptor() -> MachineSpec:
     """Accepts any input starting with 1, in a single step."""
     return MachineSpec(

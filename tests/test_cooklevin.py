@@ -34,6 +34,7 @@ from support import (
     branching_acceptor,
     build_equality_checker,
     edge_bouncer,
+    encode_full_reference,
     legal_windows_reference,
     machine_inputs,
     one_step_acceptor,
@@ -86,10 +87,12 @@ def test_encode_variable_count_exact():
 
 
 def test_encode_clause_count_formula():
+    # the paper-literal count, on the reference encoding
     m = one_step_acceptor()
     p = 4
-    f, spec = encode(m, "1", p, windows="full")
-    msz = spec.num_symbols
+    f = encode_full_reference(m, "1", p)
+    msz = len(m.states) + len(m.tape_alphabet) + 1
+    assert f.num_vars == p * p * msz
     legal = len(legal_windows(m))
     expected = (
         p * p * (1 + math.comb(msz, 2))  # per-cell exactly-one
@@ -127,16 +130,6 @@ def test_encode_guards():
         encode(m, "2", 5)
 
 
-def test_encode_refuses_oversized_machines(monkeypatch):
-    with pytest.raises(BudgetExceededError, match="encoding"):
-        encode(build_equality_checker(), "1#1", 9, windows="full")
-    # the guard is the module constant, read at call time
-    m = one_step_acceptor()
-    monkeypatch.setattr(cooklevin, "MAX_CLAUSES", 1000)
-    with pytest.raises(BudgetExceededError):
-        encode(m, "1", 4, windows="full")
-
-
 def test_encode_compact_clause_count_and_guard(monkeypatch):
     m = one_step_acceptor()
     p = 4
@@ -166,11 +159,6 @@ def test_encode_compact_clause_count_and_guard(monkeypatch):
     # a huge tableau is refused before any clause is built
     with pytest.raises(BudgetExceededError):
         encode(m, "1", 10**6)
-
-
-def test_encode_rejects_unknown_windows_mode():
-    with pytest.raises(ValueError, match="windows"):
-        encode(one_step_acceptor(), "1", 4, windows="fast")
 
 
 def _universe(m):
@@ -391,6 +379,23 @@ def test_irredundant_cover_keeps_oracle_results_on_battery(fresh_memo, monkeypat
         assert brute_force_sat(f, max_vars=f.num_vars) == expected, combo
 
 
+@pytest.mark.parametrize(
+    "machine, word, p, num_vars, num_clauses, digest",
+    [
+        (one_step_acceptor, "1", 4, 96, 279_621, "0bba9f5b5760e89585451244104ba54ee26b2172"),
+        (branching_acceptor, "1", 4, 96, 279_549, "3f87905072679e8593044a172113f5e3216a5478"),
+        (prefix_11_acceptor, "", 3, 63, 235_248, "5c78c1adfd7bd4054c1065b387ca84a0a8abb73e"),
+        (edge_bouncer, "1", 4, 112, 705_423, "1e5310c476d2211f96bb964f800dcf994bcf3031"),
+    ],
+)
+def test_full_reference_clauses_are_pinned(machine, word, p, num_vars, num_clauses, digest):
+    # sha1 of the clause tuple: the paper-literal encoding as the library
+    # emitted it when it still offered one, byte for byte
+    f = encode_full_reference(machine(), word, p)
+    assert (f.num_vars, len(f.clauses)) == (num_vars, num_clauses)
+    assert hashlib.sha1(repr(f.clauses).encode()).hexdigest() == digest
+
+
 def test_compact_matches_full_on_battery():
     # every battery combo whose paper-literal encoding stays under ~1M clauses
     checked = 0
@@ -400,7 +405,7 @@ def test_compact_matches_full_on_battery():
             for p in (len(w) + 3, len(w) + 4):
                 if (p - 1) * (p - 2) * universe**6 > 1_000_000:
                     continue
-                full, _ = encode(m, w, p, windows="full")
+                full = encode_full_reference(m, w, p)
                 compact, _ = encode(m, w, p)
                 assert compact.num_vars == full.num_vars
                 assert len(compact.clauses) < len(full.clauses)
@@ -426,7 +431,7 @@ def test_every_clause_ends_with_its_highest_variable():
             for p in (len(w) + 3, len(w) + 4):
                 assert _ends_with_highest_variable(encode(m, w, p)[0]), (m, w, p)
                 if (p - 1) * (p - 2) * universe**6 <= 100_000:
-                    assert _ends_with_highest_variable(encode(m, w, p, windows="full")[0])
+                    assert _ends_with_highest_variable(encode_full_reference(m, w, p))
                     full_checked += 1
     assert full_checked >= 3
     assert _ends_with_highest_variable(encode(build_equality_checker(), "1#1", 9)[0])
@@ -455,7 +460,7 @@ def tiny_machines(draw):
 def test_compact_matches_full_on_random_machines(m, data):
     p = data.draw(st.integers(3, 4))
     w = data.draw(st.text(alphabet=sorted(m.input_alphabet), max_size=p - 3))
-    full, _ = encode(m, w, p, windows="full")
+    full = encode_full_reference(m, w, p)
     compact, _ = encode(m, w, p)
     expected = brute_force_sat(full, max_vars=full.num_vars)
     assert brute_force_sat(compact, max_vars=compact.num_vars) == expected
@@ -470,7 +475,7 @@ def test_blocked_patterns_block_exactly_the_illegal_windows_on_random_machines(m
 def _check_pattern_runs(m):
     # encode groups the compact patterns into runs of one width and picks each
     # run's literals with one itemgetter, which returns a tuple only when it
-    # is given two or more offsets; full mode has only 6-cell patterns
+    # is given two or more offsets
     patterns = cooklevin._window_constraints(m)[1]
     for width, run in itertools.groupby(patterns, key=len):
         assert len(list(run)) * width >= 2, width
@@ -715,11 +720,6 @@ def test_budget_guard_same_on_memo_hit_and_miss(fresh_memo, monkeypatch):
     monkeypatch.undo()
     assert messages[0] == messages[1]
     assert len(fresh_memo) == 1
-    # the full-mode bound is checked before the memo is consulted
-    fresh_memo.clear()
-    with pytest.raises(BudgetExceededError, match="encoding"):
-        encode(build_equality_checker(), "1#1", 9, windows="full")
-    assert not fresh_memo
 
 
 def test_compact_budget_refuses_before_computing_patterns(fresh_memo, monkeypatch):
@@ -746,22 +746,12 @@ def test_compact_budget_refuses_before_computing_patterns(fresh_memo, monkeypatc
 
 
 def test_battery_encodings_same_on_memo_miss_and_hit(fresh_memo):
-    # every combo's compact encoding on an empty memo and again on a warm one;
-    # the full encoding too where it stays under 250k clauses, which is each
-    # machine's smallest combo: a full encoding costs a few tenths of a
-    # second, and it reads only the machine's legal set from the memo
+    # every combo's encoding on an empty memo and again on a warm one
     for m in tableau_battery():
-        universe = len(m.states) + len(m.tape_alphabet) + 1
         for w in machine_inputs(m, 2):
             for p in (len(w) + 3, len(w) + 4):
                 fresh_memo.clear()
                 compact = encode(m, w, p)[0].clauses
-                assert encode(m, w, p)[0].clauses == compact
-                if (p - 1) * (p - 2) * universe**6 > 250_000:
-                    continue
-                fresh_memo.clear()
-                full = encode(m, w, p, windows="full")[0].clauses
-                assert encode(m, w, p, windows="full")[0].clauses == full
                 assert encode(m, w, p)[0].clauses == compact
 
 
@@ -816,7 +806,6 @@ def test_legal_windows_match_reference_on_wide_machines(m):
 def test_mutating_legal_windows_leaves_the_memo_alone(fresh_memo):
     m = one_step_acceptor()
     compact = encode(m, "1", 4)[0].clauses
-    full = encode(m, "", 3, windows="full")[0].clauses
     expected = legal_windows_reference(m)
     got = legal_windows(m)
     assert got is not legal_windows(m)
@@ -825,7 +814,6 @@ def test_mutating_legal_windows_leaves_the_memo_alone(fresh_memo):
     legal_windows(m).clear()
     assert legal_windows(m) == expected
     assert encode(m, "1", 4)[0].clauses == compact
-    assert encode(m, "", 3, windows="full")[0].clauses == full
 
 
 def test_legal_windows_fills_the_memo_encode_reads(fresh_memo):
@@ -834,6 +822,5 @@ def test_legal_windows_fills_the_memo_encode_reads(fresh_memo):
     assert len(fresh_memo) == 1
     entry = cooklevin._window_constraints(m)
     encode(m, "1", 4)
-    encode(m, "", 3, windows="full")
     assert len(fresh_memo) == 1
     assert cooklevin._window_constraints(m) is entry

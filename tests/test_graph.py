@@ -292,6 +292,13 @@ def cycle_search_cases(draw):
         edges = [(u, v) for u, v in edges if not (u in sink and v in source)]
         for part in (source, sink):
             edges += zip(part, part[1:] + part[:1])
+    if n > 2 and draw(st.booleans()):
+        # two vertices keep one out-edge (side 0) or one in-edge (side 1),
+        # both to or from the same third vertex
+        hub, a, b = draw(st.permutations(vs))[:3]
+        side = draw(st.integers(0, 1))
+        edges = [e for e in edges if e[side] not in (a, b)]
+        edges += [(a, hub), (b, hub)] if side == 0 else [(hub, a), (hub, b)]
     return Digraph(vs, edges)
 
 
@@ -315,6 +322,22 @@ def test_cycle_search_ends_on_a_complete_digraph_with_a_dead_end_vertex(side):
     vs = [f"v{i:02d}" for i in range(31)]
     dead_end = [(v, "x") for v in vs] if side == "no successor" else [("x", v) for v in vs]
     g = Digraph([*vs, "x"], [*itertools.permutations(vs, 2), *dead_end])
+    assert len(g.vertices) == 32
+    assert find_hamiltonian_cycle(g) is None
+    assert list(iter_hamiltonian_cycles(g)) == []
+
+
+@pytest.mark.parametrize("side", ["sole successor", "sole predecessor"])
+def test_cycle_search_ends_on_two_vertices_sharing_a_sole_neighbour(side):
+    # strongly connected, but x and y can only leave to (or enter from) v00
+    vs = [f"v{i:02d}" for i in range(30)]
+    edges = list(itertools.permutations(vs, 2))
+    for extra in ("x", "y"):
+        if side == "sole successor":
+            edges += [(extra, "v00"), *((v, extra) for v in vs)]
+        else:
+            edges += [("v00", extra), *((extra, v) for v in vs)]
+    g = Digraph([*vs, "x", "y"], edges)
     assert len(g.vertices) == 32
     assert find_hamiltonian_cycle(g) is None
     assert list(iter_hamiltonian_cycles(g)) == []
