@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, refuse_over
 from .formula import (
     CnfFormula,
     DnfFormula,
@@ -158,11 +158,6 @@ def tableau_sidecar(spec) -> str:
     return json.dumps({"p": spec.p, "vars": spec.var_map_entries()}, indent=1)
 
 
-def _admit(count: int, what: str, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceededError(f"{count} {what} exceed the reduce budget of {budget}")
-
-
 def _cmd_reduce(args) -> int:
     from . import reductions
     from .graph import to_dot
@@ -171,14 +166,14 @@ def _cmd_reduce(args) -> int:
     cls = reductions.KINDS[args.kind]
     # Admission before allocation: the size rules need only the header and
     # the clauses, so an oversized graph is refused before any of it is built.
-    _admit(cls.num_vertices(f.num_vars, len(f.clauses), args.strict), "vertices",
-           REDUCE_MAX_VERTICES)
+    refuse_over(cls.num_vertices(f.num_vars, len(f.clauses), args.strict), "vertices",
+                "reduce", REDUCE_MAX_VERTICES)
     num_edges = getattr(cls, "num_edges", None)
     if num_edges is not None:
-        _admit(num_edges(f), "edges", REDUCE_MAX_EDGES)
+        refuse_over(num_edges(f), "edges", "reduce", REDUCE_MAX_EDGES)
     inst = cls.reduce(f, args.strict)
     if args.dot:
-        _write(args.dot, to_dot(inst.graph, reductions.dot_styling(inst)))
+        _write(args.dot, to_dot(inst.graph, inst.dot_styling()))
     if args.json:
         _write(args.json, reductions.instance_to_json(inst) + "\n")
     extra = "".join(f", {name}={getattr(inst, name)}" for name in inst.summary_extras)

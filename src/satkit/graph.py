@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from ._record import Record
-from .errors import BudgetExceededError
+from .errors import refuse_over
 
 Coloring = dict[str, int]
 
@@ -67,11 +67,17 @@ class Digraph(Record):
         return (u, v) in self.edges
 
 
-def _within_budget(g: Graph | Digraph, budget: int, search: str) -> None:
-    if len(g.vertices) > budget:
-        raise BudgetExceededError(
-            f"{len(g.vertices)} vertices exceed the {search}-search budget of {budget}"
-        )
+def _reach(heads: list[list[int]], start: int, seen: list[bool]) -> list[int]:
+    """Breadth-first, ``start`` first: the vertices not yet ``seen`` that ``heads``
+    lead to from ``start``, each marked ``seen`` as it is reached."""
+    seen[start] = True
+    reached = [start]
+    for i in reached:  # grows while it is walked
+        for j in heads[i]:
+            if not seen[j]:
+                seen[j] = True
+                reached.append(j)
+    return reached
 
 
 def verify_clique(g: Graph, s: set[str], k: int) -> bool:
@@ -92,7 +98,7 @@ def find_clique(g: Graph, k: int) -> set[str] | None:
     out in ``combinations`` order, so the first one is the first k-subset
     that is a clique. Vertex sets are bitmasks over the sorted order.
     """
-    _within_budget(g, 40, "clique")
+    refuse_over(len(g.vertices), "vertices", "clique-search", 40)
     if k <= 0:
         return set()
     order = sorted(g.vertices)
@@ -162,17 +168,7 @@ def iter_hamiltonian_cycles(g: Digraph) -> Iterator[list[str]]:
         # A vertex with one successor (predecessor) must use that edge, and
         # two such vertices cannot share the vertex it leads to (comes from).
         sole = [h[0] for h in heads if len(h) == 1]
-        if len(set(sole)) < len(sole):
-            return
-        seen = [False] * n
-        seen[start] = True
-        reached = [start]
-        for i in reached:  # grows while it is walked: a breadth-first search
-            for j in heads[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    reached.append(j)
-        if len(reached) < n:
+        if len(set(sole)) < len(sole) or len(_reach(heads, start, [False] * n)) < n:
             return
     closes = [False] * n  # has an edge to the start
     for i in pred[start]:
@@ -208,7 +204,7 @@ def find_hamiltonian_cycle(g: Digraph) -> list[str] | None:
     digraph that is not strongly connected, or whose vertices share a sole
     successor or a sole predecessor, gives None with no search.
     """
-    _within_budget(g, 32, "cycle")
+    refuse_over(len(g.vertices), "vertices", "cycle-search", 32)
     return next(iter_hamiltonian_cycles(g), None)
 
 
@@ -232,7 +228,7 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     (0 for none), and a vertex checks only its earlier neighbours, the
     only ones colored when it is tried.
     """
-    _within_budget(g, 24, "coloring")
+    refuse_over(len(g.vertices), "vertices", "coloring-search", 24)
     vertices = g.vertices
     n = len(vertices)
     at = {v: i for i, v in enumerate(vertices)}
@@ -251,14 +247,7 @@ def find_k_coloring(g: Graph, k: int) -> Coloring | None:
     for root in range(n):
         if seen[root]:
             continue
-        seen[root] = True
-        component = [root]
-        for i in component:  # grows while it is walked: a breadth-first search
-            for j in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    component.append(j)
-        component.sort()
+        component = sorted(_reach(neighbours, root, seen))
         pos, size = 0, len(component)
         while pos < size:
             i = component[pos]

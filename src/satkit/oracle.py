@@ -26,17 +26,10 @@ none of it.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import refuse_over
 from .formula import Assignment, CnfFormula, SatResult
 
 DEFAULT_MAX_VARS = 24
-
-
-def _check_budget(f: CnfFormula, max_vars: int) -> None:
-    if f.num_vars > max_vars:
-        raise BudgetExceededError(
-            f"{f.num_vars} variables exceed the exhaustive-search budget of {max_vars}"
-        )
 
 
 class _Unreached(Exception):
@@ -144,7 +137,7 @@ def brute_force_sat(f: CnfFormula, max_vars: int = DEFAULT_MAX_VARS) -> SatResul
     total assignment (false < true, variable 1 most significant). Formulas
     larger than ``max_vars`` are refused, never truncated.
     """
-    _check_budget(f, max_vars)
+    refuse_over(f.num_vars, "variables", "exhaustive-search", max_vars)
     _, witness = _walk(f, 1)
     return SatResult(witness is not None, witness)
 
@@ -162,7 +155,7 @@ def max_sat_optimum(
     Same walk as :func:`brute_force_sat`; the witness is the
     lexicographically first total assignment attaining the maximum.
     """
-    _check_budget(f, max_vars)
+    refuse_over(f.num_vars, "variables", "exhaustive-search", max_vars)
     fewest, witness = _walk(f, len(f.clauses) + 1)
     return len(f.clauses) - fewest, witness
 
@@ -173,7 +166,7 @@ def max_sat_decide(f: CnfFormula, k: int, max_vars: int = DEFAULT_MAX_VARS) -> b
         raise ValueError("k must be non-negative")
     if k == 0:
         return True
-    _check_budget(f, max_vars)
+    refuse_over(f.num_vars, "variables", "exhaustive-search", max_vars)
     # k clauses hold iff some assignment falsifies at most m - k; the walk
     # prunes at that ceiling and stops at the first such assignment.
     m = len(f.clauses)

@@ -10,8 +10,9 @@ DOT output and JSON interchange.
 Each instance class holds what is specific to its kind: the reduction that
 builds it, its documented vertex count, its witness format, verifier and
 back-translation, its DOT styling and the fields its JSON dump adds.
-:data:`KINDS` maps each ``kind`` to its class, and the loader, the DOT and
-JSON writers and the CLI read that table instead of branching on kind.
+:data:`KINDS` maps each ``kind`` to its class, and the JSON loader and
+writer and the CLI read that table instead of branching on kind; DOT output
+asks the instance itself, through its ``dot_styling`` method.
 
 The Hamiltonian-cycle construction comes in two flavours. The default wires
 each clause vertex straight between positions 2j-1 and 2j of its variables'
@@ -412,20 +413,9 @@ coloring_witness_to_assignment = ColoringInstance.to_assignment
 
 
 # ---------------------------------------------------------------------------
-# The kind table, DOT styling and JSON interchange
+# The kind table and JSON interchange
 
 KINDS = {cls.kind: cls for cls in (CliqueInstance, HamCycleInstance, ColoringInstance)}
-
-
-def _checked(inst):
-    if type(inst) not in KINDS.values():
-        raise TypeError(f"not a reduction instance: {inst!r}")
-    return inst
-
-
-def dot_styling(inst) -> dict[str, dict[str, str]]:
-    """Role-based DOT attributes highlighting special vertices."""
-    return _checked(inst).dot_styling()
 
 
 def _json_key(key):
@@ -434,7 +424,8 @@ def _json_key(key):
 
 
 def instance_to_json(inst) -> str:
-    _checked(inst)
+    if type(inst) not in KINDS.values():
+        raise TypeError(f"not a reduction instance: {inst!r}")
     base = {
         "formula": {
             "num_vars": inst.formula.num_vars,

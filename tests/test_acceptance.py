@@ -5,7 +5,6 @@ lines and timings as they complete.
 """
 
 import itertools
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -36,7 +35,6 @@ from satkit.reductions import (
     assignment_to_clique,
     clique_witness_to_assignment,
     coloring_witness_to_assignment,
-    dot_styling,
     hamcycle_witness_to_assignment,
     reduce_to_3color,
     reduce_to_clique,
@@ -371,7 +369,7 @@ def test_criterion_11_formats_and_cli_contract(tmp_path, capsys):
                 (reduce_to_hamcycle(f), True),
                 (reduce_to_3color(f), False),
             ):
-                check_dot(to_dot(inst.graph, dot_styling(inst)), directed=directed)
+                check_dot(to_dot(inst.graph, inst.dot_styling()), directed=directed)
 
         sat_file = tmp_path / "sat.cnf"
         sat_file.write_text(EXAMPLE_31)

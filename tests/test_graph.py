@@ -317,6 +317,26 @@ def test_coloring_search_ends_on_isolated_vertices_listed_before_a_k4():
     assert find_k_coloring(g, 3) is None
 
 
+def _interleaved_diamond(isolated: int) -> Graph:
+    # The diamond a1-p-q-w forces w = a1, and w-a2 then forces a2 != a1, so
+    # a2's first colour is wrong; the isolated vertices sit between a2 and
+    # the diamond in vertex order.
+    vs = ["a1", "a2", *(f"i{n:02d}" for n in range(isolated)), "p", "q", "w"]
+    edges = [("a1", "p"), ("a1", "q"), ("p", "q"), ("p", "w"), ("q", "w"), ("w", "a2")]
+    return Graph(vs, edges)
+
+
+def test_coloring_search_splits_components_so_a_late_conflict_skips_isolated_vertices():
+    # Searched as one graph, the wrong colour of a2 is found only after
+    # trying every colouring of the 19 isolated vertices: hours, not ms.
+    g = _interleaved_diamond(19)
+    assert len(g.vertices) == 24
+    want = {"a1": 1, "a2": 2, "p": 2, "q": 3, "w": 1}
+    assert find_k_coloring(g, 3) == {v: want.get(v, 1) for v in g.vertices}
+    small = _interleaved_diamond(8)
+    assert find_k_coloring(small, 3) == find_k_coloring_reference(small, 3)
+
+
 @pytest.mark.parametrize("side", ["no successor", "no predecessor"])
 def test_cycle_search_ends_on_a_complete_digraph_with_a_dead_end_vertex(side):
     vs = [f"v{i:02d}" for i in range(31)]

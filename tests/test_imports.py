@@ -282,3 +282,29 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         satkit.no_such_name
     assert not hasattr(satkit, "no_such_name")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports and never mentions again.
+
+    A name counts as used wherever the rest of the module reads it,
+    annotations included, whatever the scope. Only
+    ``from __future__ import annotations`` is exempt.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    tests = Path(__file__).resolve().parent
+    paths = sorted([*(SRC / "satkit").glob("*.py"), *tests.glob("*.py")])
+    assert [line for path in paths for line in unused_imports(path)] == []

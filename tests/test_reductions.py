@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 from types import SimpleNamespace
@@ -16,7 +15,6 @@ from satkit.graph import (
     iter_hamiltonian_cycles,
     to_dot,
     verify_clique,
-    verify_coloring,
     verify_hamiltonian_cycle,
 )
 from satkit.oracle import brute_force_sat
@@ -26,7 +24,6 @@ from satkit.reductions import (
     assignment_to_clique,
     clique_witness_to_assignment,
     coloring_witness_to_assignment,
-    dot_styling,
     hamcycle_witness_to_assignment,
     instance_from_json,
     instance_to_json,
@@ -292,7 +289,7 @@ def _hamcycle_strict(f):
 
 
 def _dot(inst):
-    return to_dot(inst.graph, dot_styling(inst))
+    return to_dot(inst.graph, inst.dot_styling())
 
 
 @pytest.mark.parametrize(
@@ -505,11 +502,8 @@ def test_dot_styling_round():
         reduce_to_hamcycle(FIG_EXAMPLE, strict=True),
         reduce_to_3color(FIG_EXAMPLE),
     ):
-        text = to_dot(inst.graph, dot_styling(inst))
+        text = to_dot(inst.graph, inst.dot_styling())
         check_dot(text, directed=isinstance(inst, HamCycleInstance))
-    for other in (reduce_to_clique(FIG_EXAMPLE).graph, None):
-        with pytest.raises(TypeError, match="not a reduction instance"):
-            dot_styling(other)
 
 
 def test_instance_json_checks_clique_edge_count_before_reducing(monkeypatch):
