@@ -14,8 +14,8 @@ _SUBMODULE_EXPORTS = {
     "errors": ("BudgetExceededError",),
     "formula": (
         "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "SatResult",
-        "canonical", "count_satisfied", "evaluate", "evaluate_dnf", "is_horn",
-        "max_clause_width", "parse_dimacs", "write_dimacs",
+        "count_satisfied", "evaluate", "evaluate_dnf", "is_horn", "max_clause_width",
+        "parse_dimacs", "write_dimacs",
     ),
     "oracle": ("brute_force_sat", "equisatisfiable", "max_sat_decide", "max_sat_optimum"),
     "graph": (

@@ -37,8 +37,8 @@ configuration ``turing.step`` makes of them, with hidden context on both
 sides, so the tableau and the simulators share one definition of a move,
 the left edge included. The head never legally steps onto a boundary
 column, so runs needing more than p-3 cells have no satisfying tableau.
-The windows and patterns depend on the machine alone, so an LRU cache keyed
-by the machine holds them for the 32 machines used last.
+The windows and patterns depend on the machine alone; see
+:func:`_window_constraints` for how they are cached.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class WindowTemplate(NamedTuple):
 def legal_windows(m: MachineSpec) -> set[WindowTemplate]:
     """All 2x3 window contents consistent with some legal row transition.
 
-    The windows depend on the machine alone, so they are served from the
-    per-machine LRU cache of :func:`_window_constraints`; each call returns
-    a fresh set, which the caller may change freely.
+    The windows come from :func:`_window_constraints`; each call returns a
+    fresh set, which the caller may change freely.
     """
     return set(_window_constraints(m)[0])
 
@@ -335,11 +334,8 @@ def encode(
     tableau they already put over the budget is refused before a new
     machine's patterns are computed.
 
-    The blocked patterns depend on the machine alone. They are computed
-    once per machine and reused across inputs and values of p while the
-    machine stays in the LRU cache of :func:`_window_constraints`; each
-    call only picks each pattern's literals out of each window position's
-    cells.
+    The patterns come from :func:`_window_constraints`; each call only
+    picks each pattern's literals out of each window position's cells.
     """
     symbols = tuple(input_symbols)
     start = initial_configuration(m, symbols)

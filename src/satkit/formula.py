@@ -94,7 +94,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``;
     clauses are 0-terminated signed integers and may span lines. Literal
-    duplicates within a clause are preserved (see :func:`canonical`).
+    duplicates within a clause are preserved.
 
     A line whose first token is ``%`` ends the clause section, as in the
     SATLIB benchmark files; everything after it is ignored and the header's
@@ -245,25 +245,6 @@ def is_tautology(clause: Clause) -> bool:
     """A clause containing both a literal and its negation."""
     s = set(clause)
     return any(-lit in s for lit in s)
-
-
-def canonical_clause(clause: Clause) -> Clause:
-    """Duplicate-free, sorted form of a clause (sort key: variable, sign)."""
-    return tuple(sorted(set(clause), key=lambda lit: (abs(lit), lit < 0)))
-
-
-def canonical(f: CnfFormula) -> CnfFormula:
-    """Canonical form: per-clause dedupe and sort, clause-set dedupe and sort.
-
-    Tautological clauses are preserved (use :func:`is_tautology` to screen
-    them); canonicalization only fixes an order so formulas compare with
-    ``==``.
-    """
-    clauses = sorted(
-        {canonical_clause(c) for c in f.clauses},
-        key=lambda c: (len(c), c),
-    )
-    return CnfFormula(f.num_vars, clauses)
 
 
 def assignment_to_json(a: Assignment) -> str:

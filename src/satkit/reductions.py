@@ -148,17 +148,13 @@ def reduce_to_clique(f: CnfFormula) -> CliqueInstance:
             vertex_index[label] = (abs(lit), j, 1 if lit > 0 else -1)
             slots.append(label)
         clause_slots.append(tuple(slots))
-    vertices = list(vertex_index)
-    edges = set()
-    labels = list(vertex_index.items())
-    for a in range(len(labels)):
-        la, (ia, ja, ha) = labels[a]
-        for b in range(a + 1, len(labels)):
-            lb, (ib, jb, hb) = labels[b]
-            if ja != jb and not (ia == ib and ha != hb):
-                edges.add((la, lb))
+    edges = {
+        (la, lb)
+        for (la, (ia, ja, ha)), (lb, (ib, jb, hb)) in combinations(vertex_index.items(), 2)
+        if ja != jb and not (ia == ib and ha != hb)
+    }
     return CliqueInstance(
-        Graph(vertices, edges), k, vertex_index, tuple(clause_slots), f, padded
+        Graph(vertex_index, edges), k, vertex_index, tuple(clause_slots), f, padded
     )
 
 
@@ -196,14 +192,6 @@ class HamCycleInstance(Record):
     formula: CnfFormula
     padded: tuple[Clause, ...]
 
-    @property
-    def num_vars(self) -> int:
-        return self.formula.num_vars
-
-    @property
-    def k(self) -> int:
-        return len(self.padded)
-
     @staticmethod
     def reduce(f: CnfFormula, strict: bool) -> HamCycleInstance:
         return reduce_to_hamcycle(f, strict)
@@ -229,8 +217,8 @@ class HamCycleInstance(Record):
         rotated = cycle[at:] + cycle[:at]
         order = {label: idx for idx, label in enumerate(rotated)}
         witness: Assignment = {}
-        span = 2 * self.k
-        for i in range(1, self.num_vars + 1):
+        span = 2 * len(self.padded)
+        for i in range(1, self.formula.num_vars + 1):
             ranked = sorted(range(1, span + 1), key=lambda pos: order[self.subpath_index[(i, pos)]])
             if ranked == list(range(1, span + 1)):
                 witness[i] = True

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import satkit
 from satkit import cli, reductions
 from satkit.cli import build_parser, run_cli
-from satkit.formula import assignment_from_json, parse_dimacs
+from satkit.formula import assignment_from_json, evaluate, parse_dimacs
 from satkit.graph import find_hamiltonian_cycle, find_k_coloring
 from satkit.oracle import brute_force_sat
 from satkit.reductions import (
@@ -239,6 +239,17 @@ def test_reduce_verify_translate_clique(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert assignment_from_json(out) == {1: True, 2: True, 3: False}
     assert run_cli(["translate", str(inst_path), str(bad_path)]) == 1
+
+
+def test_translate_out_writes_the_printed_assignment(tmp_path, capsys):
+    inst_path, witness_path = tmp_path / "inst.json", tmp_path / "clique.json"
+    inst_path.write_text(instance_to_json(reduce_to_clique(parse_dimacs(FIG_3CNF))))
+    witness_path.write_text(json.dumps({"vertices": ["v:1:1:+:1", "v:1:2:+:1", "v:2:3:+:2"]}))
+    out_path = tmp_path / "a.json"
+    assert run_cli(["translate", str(inst_path), str(witness_path), "--out", str(out_path)]) == 0
+    text = out_path.read_text()
+    assert text == capsys.readouterr().out
+    assert evaluate(parse_dimacs(FIG_3CNF), assignment_from_json(text)) is True
 
 
 def test_reduce_hamcycle_and_3color(tmp_path, capsys):

@@ -9,8 +9,6 @@ from satkit.formula import (
     DnfFormula,
     assignment_from_json,
     assignment_to_json,
-    canonical,
-    canonical_clause,
     count_satisfied,
     evaluate,
     evaluate_dnf,
@@ -148,8 +146,7 @@ def test_round_trip_random():
     rng = random.Random(42)
     for _ in range(200):
         f = random_cnf(rng, rng.randint(1, 6), rng.randint(0, 8), 4)
-        back = parse_dimacs(write_dimacs(f))
-        assert canonical(back) == canonical(f)
+        assert parse_dimacs(write_dimacs(f)) == f
 
 
 def test_evaluate_unit_conjunction():
@@ -244,16 +241,9 @@ def test_max_clause_width():
     assert max_clause_width(CnfFormula(4, [(1,), (1, 2, 3, 4)])) == 4
 
 
-def test_canonical_dedupes():
-    f = CnfFormula(2, [(1, 1, -2), (-2, 1), (2,)])
-    c = canonical(f)
-    assert c.clauses == ((2,), (1, -2))
-
-
 def test_tautology_detection():
     assert is_tautology((1, -1, 2))
     assert not is_tautology((1, 2))
-    assert canonical_clause((2, 1, 2)) == (1, 2)
 
 
 def test_literal_zero_rejected():

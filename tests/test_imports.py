@@ -27,8 +27,8 @@ EXPORTS = {
     "errors": ["BudgetExceededError"],
     "formula": [
         "Assignment", "Clause", "CnfFormula", "DimacsError", "DnfFormula", "SatResult",
-        "canonical", "count_satisfied", "evaluate", "evaluate_dnf", "is_horn",
-        "max_clause_width", "parse_dimacs", "write_dimacs",
+        "count_satisfied", "evaluate", "evaluate_dnf", "is_horn", "max_clause_width",
+        "parse_dimacs", "write_dimacs",
     ],
     "oracle": ["brute_force_sat", "equisatisfiable", "max_sat_decide", "max_sat_optimum"],
     "graph": [
@@ -308,3 +308,36 @@ def test_no_module_imports_a_name_it_never_uses():
     tests = Path(__file__).resolve().parent
     paths = sorted([*(SRC / "satkit").glob("*.py"), *tests.glob("*.py")])
     assert [line for path in paths for line in unused_imports(path)] == []
+
+
+def dead_private_names(paths: list[Path]) -> list[str]:
+    """Module-level ``_name`` definitions in ``paths`` that none of them loads.
+
+    A load is a ``Name`` read, an attribute access or a from-import of the
+    name, anywhere in any of the modules. Dunder names are exempt.
+    """
+    defined, loaded = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno} {name}", name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    return [where for where, name in defined if name not in loaded]
+
+
+def test_every_private_module_name_is_used():
+    assert dead_private_names(sorted((SRC / "satkit").glob("*.py"))) == []

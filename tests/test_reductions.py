@@ -540,8 +540,17 @@ def test_clique_edge_count_matches_built_graph():
             for _ in range(rng.randint(1, 6))
         ]
         f = CnfFormula(n, clauses)
-        want = len(reduce_to_clique(f).graph.edges)
-        assert CliqueInstance.num_edges(f) == want, f
+        inst = reduce_to_clique(f)
+        assert CliqueInstance.num_edges(f) == len(inst.graph.edges), f
+        # Karp's rule, restated here: different clauses, and not one
+        # variable with opposite signs.
+        rule = {
+            tuple(sorted((a, b)))
+            for a, (ia, ja, ha) in inst.vertex_index.items()
+            for b, (ib, jb, hb) in inst.vertex_index.items()
+            if ja != jb and not (ia == ib and ha != hb)
+        }
+        assert inst.graph.edges == rule, f
 
 
 @pytest.mark.parametrize(
