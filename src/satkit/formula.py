@@ -42,6 +42,9 @@ class DimacsError(ValueError):
 def _check_clauses(clauses, num_vars: int) -> None:
     for clause in clauses:
         for lit in clause:
+            # bool is an int subclass: True would pass as 1 yet print as "True".
+            if type(lit) is not int:
+                raise ValueError(f"literal {lit!r} is not an int")
             if lit == 0:
                 raise ValueError("literal 0 is not allowed inside a clause")
             if abs(lit) > num_vars:
@@ -57,7 +60,7 @@ class CnfFormula(Record):
     clauses: tuple[Clause, ...]
 
     def __init__(self, num_vars: int, clauses=()):
-        clauses = tuple(tuple(c) for c in clauses)
+        clauses = tuple(map(tuple, clauses))
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         _check_clauses(clauses, num_vars)
@@ -81,7 +84,7 @@ class DnfFormula(Record):
     terms: tuple[Clause, ...]
 
     def __init__(self, num_vars: int, terms=()):
-        terms = tuple(tuple(t) for t in terms)
+        terms = tuple(map(tuple, terms))
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         _check_clauses(terms, num_vars)
@@ -101,7 +104,59 @@ def parse_dimacs(text: str) -> CnfFormula:
     clause count applies to the clauses before it. A ``%`` anywhere else is
     a bad token. The header and clause lines are ASCII without underscores;
     comments and the ``%`` trailer may hold anything.
+
+    Text in the canonical shape that :func:`write_dimacs` emits is read by
+    the C JSON decoder: the header ``p cnf N M`` as the first line, then one
+    ``lit ... lit 0`` line per clause, with single spaces, only ASCII digits,
+    ``-``, space and ``\n``, and a final newline. Every other text goes to
+    the line parser, and so does canonical-looking text that any check
+    rejects (``-0`` or ``01``, a literal past N, a clause count that differs
+    from M, an empty clause); the line parser raises every error, so the
+    result and each message do not depend on the path taken.
     """
+    f = _parse_canonical(text)
+    return _parse_lines(text) if f is None else f
+
+
+# Deletes each character the canonical clause lines may hold.
+_CANONICAL_CHARS = str.maketrans("", "", "0123456789- \n")
+
+
+def _parse_canonical(text: str) -> CnfFormula | None:
+    """The formula canonical ``text`` holds, or None for any other text."""
+    header, _, body = text.partition("\n")
+    fields = header.split(" ")
+    if (
+        len(fields) != 4
+        or fields[:2] != ["p", "cnf"]
+        or not (header.isascii() and fields[2].isdigit() and fields[3].isdigit())
+        or not body.endswith(" 0\n")
+        or body.translate(_CANONICAL_CHARS)
+    ):
+        return None
+    rows = body.replace(" 0\n", "],[")
+    if "\n" in rows:  # a line that does not end in " 0"
+        return None
+    try:
+        num_vars, num_clauses = int(fields[2]), int(fields[3])
+        clauses = json.loads("[[" + rows.replace(" ", ",")[:-2] + "]")
+    except ValueError:  # doubled spaces, "01", "--1", over-long integers
+        return None
+    lits = [lit for clause in clauses for lit in clause]
+    # "1 0 2 0" on one line, and "-0", show up as a 0 inside a clause.
+    if (
+        len(clauses) != num_clauses
+        or not all(clauses)
+        or 0 in lits
+        or max(lits) > num_vars
+        or -min(lits) > num_vars
+    ):
+        return None
+    return CnfFormula._trusted(num_vars, tuple(map(tuple, clauses)))
+
+
+def _parse_lines(text: str) -> CnfFormula:
+    """:func:`parse_dimacs` for any text, one line at a time."""
     num_vars = None
     num_clauses = None
     clauses: list[Clause] = []
@@ -166,7 +221,23 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def write_dimacs(f: CnfFormula) -> str:
-    """Serialize to DIMACS text; inverse of :func:`parse_dimacs`."""
+    """Serialize to DIMACS text; inverse of :func:`parse_dimacs`.
+
+    The text is ``p cnf N M``, then one line per clause: its literals and
+    ``0``, single-spaced, or ``0`` alone for the empty clause, each line
+    ending in ``\n``. A formula with clauses, none of them empty, is
+    written by the C JSON encoder; any other goes to the line writer.
+    """
+    clauses = f.clauses
+    if not clauses or not all(clauses):
+        return _write_lines(f)
+    # "[[1 -2] [3]]" -> "1 -2 0\n3 0\n"; tuples of ints hold no cycle to check for.
+    rows = json.dumps(clauses, separators=(" ", " "), check_circular=False)
+    return f"p cnf {f.num_vars} {len(clauses)}\n" + rows[2:-2].replace("] [", " 0\n") + " 0\n"
+
+
+def _write_lines(f: CnfFormula) -> str:
+    """:func:`write_dimacs` for any formula, one clause at a time."""
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for clause in f.clauses:
         lines.append(" ".join(map(str, clause)) + (" 0" if clause else "0"))

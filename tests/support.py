@@ -371,6 +371,45 @@ def write_dimacs_reference(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Edits that take canonical DIMACS text just outside the canonical shape.
+# Each body edit replaces one occurrence of the first string after the header
+# with the second; "N+1" stands for one more than the declared variable count.
+DIMACS_BODY_EDITS = {
+    "-0 ends a clause": (" 0\n", " -0\n"),
+    "-0 in a clause": ("\n", "\n-0 "),
+    "01": ("\n", "\n0"),
+    "+1": ("\n", "\n+"),
+    "doubled space": (" ", "  "),
+    "trailing space": ("\n", " \n"),
+    "blank line": ("\n", "\n\n"),
+    "clause over two lines": (" ", "\n"),
+    "two clauses on a line": (" 0\n", " 0 "),
+    "literal past N": ("\n", "\nN+1 "),
+    "literal below -N": ("\n", "\n-N+1 "),
+    "tab": (" ", "\t"),
+    "\\r\\n": ("\n", "\r\n"),
+    "\\r": ("\n", "\r"),
+}
+DIMACS_NEAR_MISSES = [*DIMACS_BODY_EDITS, "count too high", "count too low", "no final newline"]
+
+
+def dimacs_near_miss(text: str, kind: str, at: int) -> str:
+    """Canonical DIMACS ``text``, with at least one clause and no empty one,
+    after the near miss ``kind``; ``at`` picks the occurrence a body edit
+    replaces, modulo their number."""
+    header, _, body = text.partition("\n")
+    _, _, n, m = header.split(" ")
+    if kind == "no final newline":
+        return text[:-1]
+    if kind.startswith("count"):
+        return f"p cnf {n} {int(m) + (1 if kind.endswith('high') else -1)}\n{body}"
+    old, new = DIMACS_BODY_EDITS[kind]
+    parts = ("\n" + body).split(old)
+    at = at % (len(parts) - 1) + 1
+    new = new.replace("N+1", str(int(n) + 1))
+    return header + old.join(parts[:at]) + new + old.join(parts[at:])
+
+
 def run_dtm_reference(m: MachineSpec, input_symbols, step_limit: int,
                       collect_trace: bool = False) -> RunOutcome:
     """``turing.run_dtm`` as first written: every step goes through the

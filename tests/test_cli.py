@@ -30,7 +30,13 @@ from satkit.reductions import (
 )
 from satkit.tractable import solve_2sat
 from satkit.turing import format_machine, parse_machine
-from support import branching_acceptor, build_equality_checker, one_step_acceptor
+from support import (
+    DIMACS_NEAR_MISSES,
+    branching_acceptor,
+    build_equality_checker,
+    dimacs_near_miss,
+    one_step_acceptor,
+)
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
 EXAMPLE_33 = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -706,9 +712,9 @@ witness_texts = st.one_of(
     malformed_json,
     st.builds(lambda key, value: json.dumps({key: value}), st.sampled_from(JSON_KEYS), json_values),
 )
-dimacs_tokens = st.sampled_from(["p", "cnf", "c", "%", "0", "x", "-", "1.5", ""]) | st.integers(
-    -4, 4
-).map(str)
+dimacs_tokens = st.sampled_from(
+    ["p", "cnf", "c", "%", "0", "x", "-", "1.5", "", "-0", "01", "+1", "1\t", "\r"]
+) | st.integers(-4, 4).map(str)
 dimacs_lines = st.one_of(
     st.lists(dimacs_tokens, max_size=5).map(" ".join),
     st.builds("p cnf {} {}".format, st.integers(-1, 5), st.integers(-1, 5)),
@@ -717,6 +723,12 @@ dimacs_texts = st.one_of(
     st.text(max_size=20),
     st.lists(dimacs_lines, max_size=6).map("\n".join),
     st.sampled_from([FIG_3CNF, EXAMPLE_31, EXAMPLE_33]),
+    st.builds(
+        dimacs_near_miss,
+        st.sampled_from([FIG_3CNF, EXAMPLE_31, EXAMPLE_33]),
+        st.sampled_from(DIMACS_NEAR_MISSES),
+        st.integers(0, 20),
+    ),
 )
 MACHINES = [format_machine(m()) for m in (one_step_acceptor, branching_acceptor)]
 machine_tokens = st.lists(

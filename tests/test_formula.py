@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satkit import formula
 from satkit.formula import (
     CnfFormula,
     DimacsError,
@@ -18,7 +20,14 @@ from satkit.formula import (
     parse_dimacs,
     write_dimacs,
 )
-from support import all_assignments, negate_cnf_to_dnf, random_cnf, write_dimacs_reference
+from support import (
+    DIMACS_NEAR_MISSES,
+    all_assignments,
+    dimacs_near_miss,
+    negate_cnf_to_dnf,
+    random_cnf,
+    write_dimacs_reference,
+)
 
 EXAMPLE_31 = "p cnf 3 4\n1 -2 0\n-1 2 0\n-1 -2 0\n1 -3 0\n"
 EXAMPLE_33 = CnfFormula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
@@ -123,6 +132,57 @@ def test_dimacs_round_trip_property(f):
 def test_write_dimacs_matches_generator_form(f):
     # multi-digit literals, empty clauses and clause-free formulas included
     assert write_dimacs(f) == write_dimacs_reference(f)
+
+
+# The shape the C JSON path reads and writes: at least one clause, none empty.
+canonical_formulas = cnf_formulas(max_vars=12).filter(lambda f: f.clauses and all(f.clauses))
+
+
+def _refuse(arg):
+    raise AssertionError("the line parser or line writer was called")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(canonical_formulas)
+def test_canonical_text_skips_the_line_parser_and_writer(f):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "_parse_lines", _refuse)
+        mp.setattr(formula, "_write_lines", _refuse)
+        assert parse_dimacs(write_dimacs(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c note\np cnf 2 2\n1 -2 0\n2 0\n",
+        "p cnf 2 2\r\n1 -2 0\r\n2 0\r\n",
+        "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n",
+        "p cnf 2 2\n1 -2 0 2 0\n",
+        "p cnf 2 2\n1 -2 0\n\n2 0\n",
+    ],
+    ids=["comment", "crlf", "percent", "two-per-line", "blank-line"],
+)
+def test_other_texts_reach_the_line_parser(text, monkeypatch):
+    calls = []
+    parse_lines = formula._parse_lines
+    monkeypatch.setattr(formula, "_parse_lines", lambda t: calls.append(t) or parse_lines(t))
+    assert parse_dimacs(text) == CnfFormula(2, [(1, -2), (2,)])
+    assert calls == [text]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as e:
+        return f"DimacsError: {e}"
+
+
+@pytest.mark.parametrize("kind", DIMACS_NEAR_MISSES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=canonical_formulas, at=st.integers(0, 20))
+def test_near_miss_text_parses_as_the_line_parser_does(kind, f, at):
+    text = dimacs_near_miss(write_dimacs(f), kind, at)
+    assert _outcome(parse_dimacs, text) == _outcome(formula._parse_lines, text)
 
 def test_write_empty():
     assert write_dimacs(CnfFormula(0, [])) == "p cnf 0 0\n"
@@ -249,6 +309,13 @@ def test_tautology_detection():
 def test_literal_zero_rejected():
     with pytest.raises(ValueError, match="^literal 0 is not allowed inside a clause$"):
         CnfFormula(2, [(1, 0)])
+
+
+@pytest.mark.parametrize("cls", [CnfFormula, DnfFormula])
+@pytest.mark.parametrize("lit", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_literal_that_is_not_an_int_rejected(cls, lit):
+    with pytest.raises(ValueError, match=f"^literal {re.escape(repr(lit))} is not an int$"):
+        cls(2, [(lit, -2)])
 
 
 def test_literal_beyond_num_vars_rejected():
